@@ -20,6 +20,7 @@ from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
 from . import ckt, linalg
 from .ckt import CKTLabel, weyl_dim
 from .canon import CanonicalSymmetry
+from .diffop import laplacian_poly
 
 
 class GElement:
@@ -497,17 +498,10 @@ def lemma_extra_check(k, metric, max_degree=3, basis=None):
             f = Poly.monomial(n, e)
             lapf = f
             for i in range(k):
-                lapf = _lap_poly(lapf, metric)
+                lapf = laplacian_poly(lapf, metric)
             if S(f) != spoly * lapf:
                 return False
     return True
-
-
-def _lap_poly(f, metric):
-    out = Poly.zero(metric.n)
-    for i in range(metric.n):
-        out = out + f.diff(i).diff(i).scale(metric.eps[i])
-    return out
 
 
 # ----------------------------------------------------------------------

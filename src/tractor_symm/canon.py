@@ -18,12 +18,12 @@ from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
 from .poly import Poly, monomials_up_to_degree
-from .tensor import (Metric, SymTensor, multisets, orderings,
-                     random_tracefree)
+from .tensor import (Metric, random_tracefree, xi_add, xi_laplacian,
+                     xi_reduce)
 from .diffop import StdOp, OpType, reconstruct, compose_raw
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
                       tractor_D, double_D, double_D2, fund_D, fund_D2,
-                      x_mult, contract, permute_slots, hmat, pair_space)
+                      x_mult, contract)
 from .linalg import ExactMatrix, det
 from . import ckt
 from .ckt import CKTLabel, CKTError, grad_sym0
@@ -313,103 +313,14 @@ def reduction_chain(k, d):
 # constraint matrix of the classification argument
 # ----------------------------------------------------------------------
 
-def _xi_poly(coeff, rdeg, metric):
-    """Symbol of coeff . nabla^rank Delta^rdeg as a covector polynomial.
-
-    Returned as a dict mapping exponent tuples of the covector variables
-    to Poly coefficients in the base variables.
-    """
-    n = metric.n
-    base = {}
-    for m, ph in coeff.comps.items():
-        eps = ONE
-        e = [0] * n
-        for a in m:
-            eps *= metric.eps[a]
-            e[a] += 1
-        base[tuple(e)] = ph.scale(eps * len(orderings(m)))
-    for _ in range(rdeg):
-        nxt = {}
-        for e, c in base.items():
-            for i in range(n):
-                e2 = list(e)
-                e2[i] += 2
-                e2 = tuple(e2)
-                v = c.scale(metric.eps[i])
-                cur = nxt.get(e2)
-                nxt[e2] = v if cur is None else cur + v
-        base = nxt
-    return {e: c for e, c in base.items() if not c.is_zero()}
-
-
-def _xi_laplacian(d, metric):
-    n = metric.n
-    out = {}
-    for e, c in d.items():
-        for i in range(n):
-            if e[i] >= 2:
-                e2 = list(e)
-                e2[i] -= 2
-                e2 = tuple(e2)
-                v = c.scale(metric.eps[i] * e[i] * (e[i] - 1))
-                cur = out.get(e2)
-                out[e2] = v if cur is None else cur + v
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
-def _xi_reduce(d, metric):
-    """Reduce a covector polynomial modulo the quadric sum eps_i xi_i^2."""
-    n = metric.n
-    out = {}
-    work = list(d.items())
-    while work:
-        e, c = work.pop()
-        if e[0] >= 2:
-            for i in range(1, n):
-                e2 = list(e)
-                e2[0] -= 2
-                e2[i] += 2
-                work.append((tuple(e2),
-                             c.scale(-metric.eps[0] * metric.eps[i])))
-        else:
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _xi_scale(d, c):
-    return {e: p.scale(c) for e, p in d.items()}
-
-
-def _xi_eq(d1, d2):
-    keys = set(d1) | set(d2)
-    z = None
-    for e in keys:
-        a = d1.get(e)
-        b = d2.get(e)
-        if a is None:
-            if not b.is_zero():
-                return False
-        elif b is None:
-            if not a.is_zero():
-                return False
-        elif a != b:
-            return False
-    return True
-
-
 def extract_constraint_matrix(k, p, r, metric=None, seed=0):
     """Coefficient matrix of the leading-level symmetry constraints.
 
     Composes Delta^k with each single level-(p+r) term built on a random
     trace-free coefficient and reads off, for every target type of level
     p+r+k, the scalar relating the resulting coefficient to the
-    trace-free symmetrized gradient of the input.  The matrix is
-    asserted to equal the C-matrix with d = k-r-1.
+    trace-free symmetrized gradient of the input.  Raises CKTError unless
+    the matrix equals the C-matrix with d = k-r-1.
     """
     if not 0 <= r < k:
         raise ValueError("need 0 <= r < k")
@@ -430,15 +341,16 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
             o = p + r + 2 * k - q - 1
             part = {a: c for a, c in raw.items() if sum(a) == o}
             for _ in range(R):
-                part = _xi_laplacian(part, metric)
-            lhs = _xi_reduce(part, metric)
+                part = xi_laplacian(part, metric)
+            lhs = xi_reduce(part, metric)
             oracle = grad_sym0(phi, s)
             if oracle.is_zero():
                 raise CKTError("degenerate sample; re-run with a new seed")
-            probe = _xi_poly(oracle, R, metric)
+            # symbol of oracle . nabla^s Delta^R
+            probe = StdOp.from_coeff(oracle, R).to_raw()
             for _ in range(R):
-                probe = _xi_laplacian(probe, metric)
-            probe = _xi_reduce(probe, metric)
+                probe = xi_laplacian(probe, metric)
+            probe = xi_reduce(probe, metric)
             # lhs must be an exact scalar multiple of the probe
             a = ZERO
             for e, c in probe.items():
@@ -446,13 +358,17 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
                     a = lhs.get(e, Poly.zero(n)).coeff(mono) / cc
                     break
                 break
-            if not _xi_eq(lhs, _xi_scale(probe, a)):
+            scaled = {}
+            for e, c in probe.items():
+                xi_add(scaled, e, c.scale(a))
+            if lhs != scaled:
                 raise CKTError("constraint coefficient is not scalar")
-            assert a == c_scalar(r + q - q2 + 1, k)
+            want = c_scalar(r + q - q2 + 1, k)
+            if a != want:
+                raise CKTError(f"constraint entry ({q},{q2}) for k={k}, "
+                               f"p={p}, r={r} is {a}, expected {want}")
             mat[q][q2] = a
-    out = ExactMatrix(mat)
-    assert out == c_matrix(k, k - r - 1)
-    return out
+    return ExactMatrix(mat)
 
 
 # ----------------------------------------------------------------------

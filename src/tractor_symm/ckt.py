@@ -24,9 +24,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from .scalars import Q, ZERO, ONE
-from .poly import Poly, monomials_of_degree, monomials_up_to_degree
-from .tensor import (Metric, SymTensor, multisets, orderings, trace_free,
-                     sym_part)
+from .poly import Poly, monomials_of_degree
+from .tensor import (SymTensor, multisets, nord, exponent, multiset,
+                     trace_free, sym_part, symbol, from_symbol, xi_dx)
 from .tractor import (TractorField, SlotKind, pair_space, hmat,
                       parallel_extend, nabla)
 from . import linalg
@@ -58,22 +58,14 @@ class CKTError(Exception):
 
 
 def grad_sym0(phi, q):
-    """Trace-free symmetric part of the q-th gradient of phi."""
-    metric = phi.metric
-    n = metric.n
-    p = phi.rank
-    out = SymTensor(metric, p + q)
-    for m in multisets(n, p + q):
-        ords = orderings(m)
-        total = Poly.zero(n)
-        for o in ords:
-            beta = [0] * n
-            for a in o[:q]:
-                beta[a] += 1
-            total = total + phi.get(o[q:]).diff_multi(beta)
-        if not total.is_zero():
-            out.comps[m] = total.scale(Q(1, len(ords)))
-    return trace_free(out)
+    """Trace-free symmetric part of the q-th gradient of phi.
+
+    On symbols the symmetrized gradient is multiplication by xi . d_x.
+    """
+    sym = symbol(phi)
+    for _ in range(q):
+        sym = xi_dx(sym, phi.metric.n)
+    return trace_free(from_symbol(sym, phi.metric, phi.rank + q))
 
 
 def ckt_apply(phi, r):
@@ -175,7 +167,6 @@ def _solve_degree(metric, label, d):
     for m in phi_sets:
         for e in phi_monos:
             cols[("phi", m, e)] = len(cols)
-    nphi = len(cols)
     dr = d - q
     out_monos = list(monomials_of_degree(n, dr)) if dr >= 0 else []
     has_rho = dr >= 0 and p + q >= 2
@@ -195,34 +186,40 @@ def _solve_degree(metric, label, d):
                     c = cols[("phi", tuple(sorted(m2 + (a, a))), e)]
                     row[c] = row.get(c, 0) + int(metric.eps[a])
                 rows.append({k: v for k, v in row.items() if v})
-    # sym(nabla^q phi) = sym(g . rho), row per output multiset and monomial
+    # sym(nabla^q phi) = sym(g . rho), row per output multiset and monomial,
+    # summed over the orderings o of M: the nord(D) nord(M - D) orderings
+    # that put the sub-multiset D on the q derivative slots, and the
+    # nord(M - {a, a}) that start with the trace pair (a, a)
     if dr >= 0:
         for M in multisets(n, p + q):
-            ords = orderings(M)
+            aM = exponent(M, n)
+            grads = []
+            for beta in monomials_of_degree(n, q):
+                if all(b <= a for a, b in zip(aM, beta)):
+                    rest = multiset(tuple(a - b for a, b in zip(aM, beta)))
+                    w = nord(multiset(beta)) * nord(rest)
+                    grads.append((beta, rest, w))
+            traces = []
+            if has_rho:
+                for a in range(n):
+                    if aM[a] >= 2:
+                        rest = multiset(aM[:a] + (aM[a] - 2,) + aM[a + 1:])
+                        traces.append((rest, int(metric.eps[a]) * nord(rest)))
             for e in out_monos:
                 row = {}
-                for o in ords:
-                    beta = [0] * n
-                    for a in o[:q]:
-                        beta[a] += 1
+                for beta, rest, w in grads:
                     src = tuple(x + b for x, b in zip(e, beta))
-                    if sum(src) != d:
-                        continue
-                    mult = 1
+                    mult = w
                     for x, b in zip(e, beta):
                         mult *= factorial(x + b) // factorial(x)
-                    c = cols[("phi", tuple(sorted(o[q:])), src)]
+                    c = cols[("phi", rest, src)]
                     row[c] = row.get(c, 0) + mult
-                    # minus the trace side
-                    if has_rho and o[0] == o[1]:
-                        c2 = cols[("rho", tuple(sorted(o[2:])), e)]
-                        row[c2] = row.get(c2, 0) - int(metric.eps[o[0]])
+                for rest, w in traces:
+                    c2 = cols[("rho", rest, e)]
+                    row[c2] = row.get(c2, 0) - w
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
-    elif p >= 1 and d + p >= 1:
-        # no equation rows below the derivative order
-        pass
 
     if rows and linalg.has_full_column_rank_mod(rows, ncols):
         return []
@@ -230,7 +227,7 @@ def _solve_degree(metric, label, d):
         [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
     out = []
     inv_cols = {v: k for k, v in cols.items()}
-    for v in basis:
+    for i, v in enumerate(basis):
         t = SymTensor(metric, p, weight=label.weight)
         nonzero_phi = False
         for j, c in enumerate(v):
@@ -240,7 +237,9 @@ def _solve_degree(metric, label, d):
             if kind == "phi":
                 nonzero_phi = True
                 t.add_to(m, Poly.monomial(n, e, c))
-        assert nonzero_phi, "kernel vector with vanishing tensor part"
+        if not nonzero_phi:
+            raise CKTError(f"label {label}, degree {d}: kernel vector {i} "
+                           "has a vanishing tensor part")
         out.append(t)
     return out
 
@@ -291,13 +290,11 @@ def _expanded_members(metric, label, fiber):
     ps = pair_space(metric.n)
     out = {}
     for idx, v in fiber.items():
-        pieces = [[((), v)]]
         expansion = [((), v)]
         for s in range(p):
             A, B = ps.pairs[idx[s]]
             nxt = []
             for pref, val in expansion:
-                half = Q(1, 1)
                 nxt.append((pref + (A, B), val))
                 nxt.append((pref + (B, A), -val))
             expansion = nxt
@@ -370,31 +367,15 @@ def extract(t, label):
     standard slots with X; the result is returned with lowered indices as
     a SymTensor of weight 2p + 2r.
     """
-    p, r = label
     metric = t.metric
-    n = metric.n
-    ps = pair_space(n)
     dense = {}
-    for aa in product_tuples(n, p):
-        idx = []
-        ok = True
-        sgn = ONE
-        for a in aa:
-            ri = ps.sign_index(0, a + 1)
-            pi, s = ri
-            idx.append(pi)
-            sgn *= s
-        key = tuple(idx) + (0,) * (2 * r)
-        v = t.comps.get(key)
-        if v is None:
-            continue
+    for aa, v in _extract_dense(t, label).items():
         eps = ONE
         for a in aa:
             eps *= metric.eps[a]  # lower the extracted indices
-        val = v.scale(sgn * eps * Q(2) ** p)
-        if not val.is_zero():
-            dense[aa] = val
-    return sym_part(dense, p, metric, weight=CKTLabel(*label).weight)
+        dense[aa] = v.scale(eps)
+    return sym_part(dense, label[0], metric,
+                    weight=CKTLabel(*label).weight)
 
 
 def product_tuples(n, p):
@@ -407,7 +388,7 @@ def product_tuples(n, p):
 
 
 def _extract_dense(t, label):
-    """Like extract() but without symmetrizing: dense upper-index dict."""
+    """Projecting part as a dense upper-index dict, not symmetrized."""
     p, r = label
     metric = t.metric
     n = metric.n
@@ -476,12 +457,12 @@ def split(phi, label):
             rows.append(row)
             rhs.append(target.coeff(e))
     try:
-        cvec = linalg.solve(rows, rhs)
+        cvec = linalg.solve_unique(rows, rhs)
     except linalg.InconsistentSystem:
         raise CKTError(
             f"tensor is not a solution for label {label}: the parallel "
             "extension problem is obstructed")
-    if linalg.rank(rows) != nred:
+    except linalg.LinAlgError:
         raise CKTError(f"splitting for label {label} is not determined")
     t0 = TractorField(metric, 0, slots)
     for c, ex in zip(cvec, expanded_cols):

@@ -11,8 +11,7 @@ import random
 import sys
 
 from .scalars import Q, qstr
-from .poly import Poly
-from .tensor import Metric, SymTensor, random_tracefree
+from .tensor import Metric, random_tracefree
 from .diffop import StdOp
 from . import ckt, canon, algebra
 from .ckt import CKTLabel
@@ -32,18 +31,41 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _usage(message):
+    sys.stderr.write("error: %s\n" % message)
+    sys.exit(EXIT_USAGE)
+
+
 def _metric(args):
     if args.signature:
         try:
             s, sp = (int(x) for x in args.signature.split(","))
         except ValueError:
-            raise SystemExit(EXIT_USAGE)
+            _usage("--signature must be two integers S,S'")
+        if s < 0 or sp < 0:
+            _usage("--signature entries must be non-negative")
         if args.n is not None and s + sp != args.n:
-            sys.stderr.write("error: signature does not sum to n\n")
-            sys.exit(EXIT_USAGE)
-        return Metric(s, sp)
-    n = args.n if args.n is not None else 3
-    return Metric.euclidean(n)
+            _usage("signature does not sum to n")
+    else:
+        s, sp = (args.n if args.n is not None else 3), 0
+    if s + sp < 3:
+        _usage("need n >= 3, got n = %d" % (s + sp))
+    return Metric(s, sp)
+
+
+def _k(args):
+    if args.k is None:
+        return 1
+    if args.k < 1:
+        _usage("need k >= 1, got k = %d" % args.k)
+    return args.k
+
+
+def _label(args):
+    if args.p < 0 or args.r < 0:
+        _usage("need p >= 0 and r >= 0, got p = %d, r = %d"
+               % (args.p, args.r))
+    return CKTLabel(args.p, args.r)
 
 
 def _config(args, metric):
@@ -116,7 +138,7 @@ def _tractor_to_dict(t):
 
 def cmd_ckt(args):
     metric = _metric(args)
-    label = CKTLabel(args.p, args.r)
+    label = _label(args)
     basis = ckt.solve(metric, label)
     dim = ckt.weyl_dim(metric.n, args.p, args.r)
     ok = len(basis) == dim
@@ -130,7 +152,7 @@ def cmd_ckt(args):
 
 def cmd_split(args):
     metric = _metric(args)
-    label = CKTLabel(args.p, args.r)
+    label = _label(args)
     basis = ckt.solve(metric, label)
     idxs = range(len(basis)) if args.all_basis else [args.index or 0]
     out = []
@@ -149,12 +171,11 @@ def cmd_split(args):
 
 def cmd_symmetry(args):
     metric = _metric(args)
-    k = args.k or 1
+    k = _k(args)
     if args.action == "build":
-        label = CKTLabel(args.p, args.r)
+        label = _label(args)
         basis = ckt.solve(metric, label)
-        i = args.index or 0
-        I = ckt.split(basis[i], label)
+        I = ckt.split(basis[args.index or 0], label)
         w = Q(2 * k - metric.n, 2)
         S = canon.build_S(I, (args.p, args.r), w)
         _emit(args, "symmetry build", _config(args, metric),
@@ -163,7 +184,7 @@ def cmd_symmetry(args):
     if args.action == "sweep":
         labels = [(1, 0)] + ([(0, 1)] if k >= 2 else [])
     else:
-        labels = [(args.p, args.r)]
+        labels = [_label(args)]
     results = []
     allok = True
     for (p, r) in labels:
@@ -189,8 +210,8 @@ def cmd_symmetry(args):
 
 def cmd_compose(args):
     metric = _metric(args)
-    k = args.k or 1
-    label = CKTLabel(args.p, args.r)
+    k = _k(args)
+    label = _label(args)
     basis = ckt.solve(metric, label)
     i = args.index or 0
     rep = canon.verify_symmetry(basis[i], (args.p, args.r), k)
@@ -219,7 +240,9 @@ def cmd_decompose(args):
 
 
 def cmd_cmatrix(args):
-    k = args.k or 1
+    k = _k(args)
+    if args.d is not None and not 0 <= args.d < k:
+        _usage("need 0 <= d < k, got d = %d, k = %d" % (args.d, k))
     if args.action == "det":
         ds = range(k) if args.d is None else [args.d]
         rows = []
@@ -242,7 +265,7 @@ def cmd_cmatrix(args):
 
 def cmd_classify(args):
     metric = _metric(args)
-    k = args.k or 1
+    k = _k(args)
     rng = random.Random(args.seed or 0)
     w = Q(2 * k - metric.n, 2)
     op = StdOp.zero(metric)
@@ -275,9 +298,11 @@ def cmd_classify(args):
 def cmd_algebra(args):
     metric = _metric(args)
     n = metric.n
-    k = args.k or 1
+    k = _k(args)
     if args.action == "graded":
         t = args.t if args.t is not None else 1
+        if t < 1:
+            _usage("need t >= 1, got t = %d" % t)
         gd = algebra.graded_dim(k, t, n)
         res = {"graded-dim": gd}
         ok = True
@@ -312,11 +337,8 @@ def cmd_algebra(args):
                "coefficient": qstr(algebra.ideal_coefficient(n, k)),
                "holds": ok}, ok)
     elif args.action == "extra":
-        try:
-            ok = algebra.lemma_extra_check(
-                k, metric, max_degree=args.max_degree or 3)
-        except MemoryError:
-            sys.exit(EXIT_RESOURCE)
+        ok = algebra.lemma_extra_check(
+            k, metric, max_degree=args.max_degree or 3)
         _emit(args, "algebra extra", _config(args, metric),
               {"holds": ok}, ok)
 
@@ -324,7 +346,7 @@ def cmd_algebra(args):
 def cmd_report(args):
     metric = _metric(args)
     n = metric.n
-    k = args.k or 1
+    k = _k(args)
     checks = {}
     dims = {}
     for (p, r) in ((0, 0), (1, 0), (0, 1)):
@@ -394,8 +416,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValueError as e:
-        sys.stderr.write("error: %s\n" % e)
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_RESOURCE
     return EXIT_PASS
 

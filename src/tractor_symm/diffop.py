@@ -6,16 +6,18 @@ An operator is kept as a sum of terms
 
 with phi symmetric trace-free.  The type of a term is <p|r>, its order
 p + 2r and its level p + r; types are compared by (level, order).
-Normalization converts an arbitrary polynomial-coefficient derivative
-expression into this form by decomposing the symbol at each total order
-into trace parts.
+The raw form sum_alpha c_alpha(x) d^alpha is kept as its covector symbol
+(``tensor``): a dict alpha -> c_alpha.  Normalization converts an
+arbitrary polynomial-coefficient derivative expression into standard form
+by decomposing the symbol at each total order into trace parts.
 """
 
 from math import factorial
 
-from .scalars import Q, ZERO, ONE, qstr, qparse
+from .scalars import Q, ONE, qstr, qparse
 from .poly import Poly, monomials_of_degree, monomials_up_to_degree
-from .tensor import SymTensor, decompose_traces, multisets, orderings
+from .tensor import (SymTensor, decompose_traces, symbol, from_symbol,
+                     xi_add, xi_raise, xi_quadric)
 
 
 class OpType(tuple):
@@ -146,19 +148,10 @@ class StdOp:
                 g = laplacian_poly(g, metric)
             if g.is_zero():
                 continue
-            for m, phi in coeff.comps.items():
-                # raise the p indices with the diagonal metric
-                eps = ONE
-                for a in m:
-                    eps *= metric.eps[a]
-                alpha = [0] * n
-                for a in m:
-                    alpha[a] += 1
+            for alpha, c in xi_raise(symbol(coeff), metric).items():
                 dg = g.diff_multi(alpha)
-                if dg.is_zero():
-                    continue
-                nord = len(orderings(m))
-                out = out + phi * dg.scale(eps * nord)
+                if not dg.is_zero():
+                    out = out + c * dg
         return out
 
     def __call__(self, f):
@@ -167,38 +160,19 @@ class StdOp:
     # -- raw form and composition -------------------------------------
 
     def to_raw(self):
-        """Expand into a dict multi-index alpha -> Poly coefficient."""
+        """Expand into a dict multi-index alpha -> Poly coefficient.
+
+        This is the symbol: phi nabla^p Delta^r has symbol Q^r sigma(phi)
+        with the indices of phi raised.
+        """
         metric = self.metric
-        n = metric.n
         raw = {}
-
-        def add(alpha, p):
-            cur = raw.get(alpha)
-            s = p if cur is None else cur + p
-            if s.is_zero():
-                raw.pop(alpha, None)
-            else:
-                raw[alpha] = s
-
         for t, coeff in self.terms.items():
-            # Delta^r = sum over gamma with |gamma| = r of multinomials
-            for gamma in monomials_of_degree(n, t.r):
-                mult = Q(factorial(t.r))
-                eps = ONE
-                for i, gi in enumerate(gamma):
-                    mult /= factorial(gi)
-                    eps *= metric.eps[i] ** gi
-                for m, phi in coeff.comps.items():
-                    e2 = ONE
-                    for a in m:
-                        e2 *= metric.eps[a]
-                    alpha = list(gamma)
-                    for i in range(n):
-                        alpha[i] *= 2
-                    for a in m:
-                        alpha[a] += 1
-                    nord = len(orderings(m))
-                    add(tuple(alpha), phi.scale(mult * eps * e2 * nord))
+            sym = xi_raise(symbol(coeff), metric)
+            for _ in range(t.r):
+                sym = xi_quadric(sym, metric)
+            for alpha, c in sym.items():
+                xi_add(raw, alpha, c)
         return raw
 
     def compose(self, other):
@@ -255,15 +229,6 @@ def compose_raw(r1, r2):
     the raw form of the first operator applied after the second.
     """
     out = {}
-
-    def add(alpha, p):
-        cur = out.get(alpha)
-        s = p if cur is None else cur + p
-        if s.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-
     for alpha, c in r1.items():
         for beta, d in r2.items():
             # d^alpha (d(x) d^beta) over subsets gamma <= alpha
@@ -276,7 +241,7 @@ def compose_raw(r1, r2):
                     binm *= Q(factorial(ai),
                               factorial(gi) * factorial(ai - gi))
                 tgt = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                add(tgt, (c * dg).scale(binm))
+                xi_add(out, tgt, (c * dg).scale(binm))
     return out
 
 
@@ -305,7 +270,6 @@ def normalize_raw(raw, metric):
     the symbol is decomposed into trace parts, each trace producing one
     Laplacian.
     """
-    n = metric.n
     by_order = {}
     for alpha, c in raw.items():
         if c.is_zero():
@@ -313,19 +277,9 @@ def normalize_raw(raw, metric):
         by_order.setdefault(sum(alpha), {})[alpha] = c
     op = StdOp(metric)
     for o, part in sorted(by_order.items()):
-        # symbol as a symmetric tensor with upper indices:
-        # sum_alpha c_alpha d^alpha = sum over full index tuples S^a d_a
-        # with S^m = c_alpha(m) / (number of orderings of m)
-        sym = SymTensor(metric, o)
-        for alpha, c in part.items():
-            m = []
-            eps = ONE
-            for i, ai in enumerate(alpha):
-                m.extend([i] * ai)
-                eps *= metric.eps[i] ** ai  # lower the indices
-            m = tuple(m)
-            sym.comps[m] = c.scale(eps * Q(1, len(orderings(m))))
-        parts = decompose_traces(sym)
+        # the order-o symbol, lowered, is sigma of a rank-o tensor
+        parts = decompose_traces(
+            from_symbol(xi_raise(part, metric), metric, o))
         for q, u in enumerate(parts):
             if u.is_zero():
                 continue

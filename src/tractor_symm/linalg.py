@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Dense Gaussian elimination over exact rationals is the workhorse; it is
-used for trace decompositions, operator reconstruction and the various
-projector computations, all of which involve matrices of a few hundred
-rows at most.  For the large sparse prolongation systems there is a
-fraction-free sparse kernel routine plus a modular rank certificate that
-lets us skip exact elimination when the kernel is provably trivial.
+used for splitting operators and the various projector computations,
+all of which involve matrices of a few hundred rows at most.  For the
+large sparse prolongation systems there is a fraction-free sparse kernel
+routine plus a modular rank certificate that lets us skip exact
+elimination when the kernel is provably trivial.
 """
 
 from math import gcd
@@ -93,13 +93,8 @@ def det(mat):
     return d
 
 
-def solve(mat, rhs):
-    """Solve A x = b exactly.
-
-    ``rhs`` may be a vector or a matrix (list of rows, one per row of A).
-    Returns a particular solution (free variables set to zero).  Raises
-    InconsistentSystem when no solution exists.
-    """
+def _solve(mat, rhs):
+    """One elimination of [A | b]: (particular solution, rank of A, ncols)."""
     rows = _as_rows(mat)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -116,19 +111,31 @@ def solve(mat, rhs):
         x = [ZERO] * ncols
         for i, c in enumerate(pivots):
             x[c] = aug[i][ncols]
-        return x
+        return x, r, ncols
     X = [[ZERO] * nb for _ in range(ncols)]
     for i, c in enumerate(pivots):
         X[c] = aug[i][ncols:]
-    return X
+    return X, r, ncols
+
+
+def solve(mat, rhs):
+    """Solve A x = b exactly.
+
+    ``rhs`` may be a vector or a matrix (list of rows, one per row of A).
+    Returns a particular solution (free variables set to zero).  Raises
+    InconsistentSystem when no solution exists.
+    """
+    return _solve(mat, rhs)[0]
 
 
 def solve_unique(mat, rhs):
-    """Like solve() but additionally requires full column rank."""
-    rows = _as_rows(mat)
-    ncols = len(rows[0]) if rows else 0
-    x = solve(rows, rhs)
-    if rank(mat) != ncols:
+    """Like solve() but additionally requires full column rank.
+
+    Raises InconsistentSystem when no solution exists, else LinAlgError
+    when A has a nontrivial kernel; both from the one elimination.
+    """
+    x, r, ncols = _solve(mat, rhs)
+    if r != ncols:
         raise LinAlgError("solution is not unique")
     return x
 
@@ -287,9 +294,6 @@ class ExactMatrix:
 
     def kernel(self):
         return kernel(self.rows, self.ncols)
-
-    def transpose(self):
-        return ExactMatrix([list(col) for col in zip(*self.rows)])
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]"

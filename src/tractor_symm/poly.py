@@ -2,8 +2,7 @@
 
 A polynomial in ``nvars`` variables x1..xn is a dict mapping exponent
 tuples to nonzero scalars.  Only the handful of operations the operator
-calculus needs are provided: ring arithmetic, partial derivatives and
-evaluation.
+calculus needs are provided: ring arithmetic and partial derivatives.
 """
 
 from .scalars import Q, ZERO, qstr
@@ -164,24 +163,8 @@ class Poly:
                     return p
         return p
 
-    def eval(self, point):
-        """Evaluate at a point of exact rationals."""
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= Q(point[i]) ** k
-            total += v
-        return total
-
     def coeff(self, exps):
         return self.terms.get(tuple(exps), ZERO)
-
-    def homogeneous_part(self, d):
-        p = Poly(self.nvars)
-        p.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return p
 
     # -- display --------------------------------------------------------
 

@@ -1,12 +1,21 @@
-"""Symmetric tensors, trace decompositions and the (2,2) Young projector.
+"""Symmetric tensors, the covector-symbol calculus and the (2,2) projector.
 
 Tensors live over a flat diagonal metric of signature (s, s').  Symmetric
-tensors are stored on sorted index multisets.  The trace-free projection
-is computed by solving the linear system for the decomposition
+tensors are stored on sorted index multisets.  A rank-p symmetric tensor
+S is also the degree-p polynomial sigma(S) = S(xi, .., xi) in covector
+variables xi: a *symbol*, stored as a dict mapping exponent tuples of xi
+to Poly coefficients in the base variables.  The raw form of a
+differential operator (``diffop``) is the same dict.  Under sigma the
+trace is the xi-Laplacian Delta_xi = sum eps_a d^2/dxi_a^2 (up to the
+factor p(p-1)), g . U is multiplication by the quadric Q = sum eps_a
+xi_a^2, and the symmetrized gradient is xi . d_x.  The trace
+decomposition
 
     S = S0 + g . U1 + g^2 . U2 + ...   (all pieces trace-free)
 
-exactly; the solving matrix is cached per (signature, rank).
+is the Fischer decomposition sigma(S) = sum_q Q^q h_q with harmonic h_q,
+which has a closed form (Axler-Bourdon-Ramey, Harmonic Function Theory,
+ch. 5): no linear system is solved.
 
 The (2,2) trace-free projector works for an arbitrary symmetric metric
 matrix (it is reused for the tractor metric h): four-index tensors are
@@ -16,7 +25,8 @@ orthogonal with respect to the metric-induced pairing.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
+from math import factorial
 
 from .scalars import Q, ZERO, ONE
 from . import linalg
@@ -44,9 +54,6 @@ class Metric:
     def g(self, a, b):
         return self.eps[a] if a == b else ZERO
 
-    def ginv(self, a, b):
-        return self.g(a, b)  # diagonal +-1 is its own inverse
-
     def key(self):
         return (self.s, self.sp)
 
@@ -62,9 +69,26 @@ def multisets(n, p):
     return list(combinations_with_replacement(range(n), p))
 
 
-def orderings(m):
-    """Distinct orderings of a multiset tuple."""
-    return sorted(set(permutations(m)))
+@lru_cache(maxsize=None)
+def nord(m):
+    """Number of distinct orderings of an index multiset: |m|! / prod mult!."""
+    out = factorial(len(m))
+    for a in set(m):
+        out //= factorial(m.count(a))
+    return out
+
+
+def exponent(m, n):
+    """Exponent tuple over range(n) of an index multiset."""
+    e = [0] * n
+    for a in m:
+        e[a] += 1
+    return tuple(e)
+
+
+def multiset(e):
+    """Sorted index multiset of an exponent tuple."""
+    return tuple(a for a, k in enumerate(e) for _ in range(k))
 
 
 class SymTensor:
@@ -137,14 +161,6 @@ class SymTensor:
                 out.comps[m] = q
         return out
 
-    def map_components(self, f):
-        out = SymTensor(self.metric, self.rank, weight=self.weight)
-        for m, p in self.comps.items():
-            q = f(p)
-            if not q.is_zero():
-                out.comps[m] = q
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
@@ -163,23 +179,13 @@ class SymTensor:
 
 def sym_part(dense, rank, metric, weight=0):
     """Symmetrize a dense tensor (dict full-index-tuple -> Poly)."""
-    out = SymTensor(metric, rank, weight=weight)
-    if rank == 0:
-        for _, p in dense.items():
-            out.add_to((), p)
-        return out
     buckets = {}
     for idx, p in dense.items():
-        buckets.setdefault(tuple(sorted(idx)), []).append((idx, p))
-    for m, items in buckets.items():
-        ords = orderings(m)
-        vals = {o: Poly.zero(metric.n) for o in ords}
-        for idx, p in items:
-            vals[idx] = vals[idx] + p
-        total = Poly.zero(metric.n)
-        for o in ords:
-            total = total + vals[o]
-        out.add_to(m, total.scale(Q(1, len(ords))))
+        m = tuple(sorted(idx))
+        buckets[m] = buckets[m] + p if m in buckets else p
+    out = SymTensor(metric, rank, weight=weight)
+    for m, total in buckets.items():
+        out.add_to(m, total.scale(Q(1, nord(m))))
     return out
 
 
@@ -198,105 +204,157 @@ def trace(t, metric=None):
 
 
 def g_odot(t, metric=None):
-    """Symmetrized product g . t (rank goes up by two)."""
+    """Symmetrized product g . t (rank goes up by two).
+
+    Of the nord(m) orderings of m, nord(m - {a, a}) start with the pair
+    (a, a); only those see a nonzero metric entry.
+    """
     metric = metric or t.metric
     out = SymTensor(metric, t.rank + 2, weight=t.weight)
     for m in multisets(metric.n, t.rank + 2):
-        ords = orderings(m)
         total = Poly.zero(metric.n)
-        for o in ords:
-            if o[0] == o[1]:
-                total = total + t.get(o[2:]).scale(metric.eps[o[0]])
+        for a in sorted(set(m)):
+            if m.count(a) < 2:
+                continue
+            rest = list(m)
+            rest.remove(a)
+            rest.remove(a)
+            rest = tuple(rest)
+            total = total + t.get(rest).scale(metric.eps[a] * nord(rest))
         if not total.is_zero():
-            out.comps[m] = total.scale(Q(1, len(ords)))
+            out.comps[m] = total.scale(Q(1, nord(m)))
     return out
 
 
-def _g_power_embed_matrix(metric, p, q):
-    """Matrix of U -> g^q . U from rank p-2q multisets to rank p multisets."""
-    n = metric.n
-    rows_idx = multisets(n, p)
-    cols_idx = multisets(n, p - 2 * q)
-    col_pos = {m: j for j, m in enumerate(cols_idx)}
-    mat = [[ZERO] * len(cols_idx) for _ in rows_idx]
-    for i, m in enumerate(rows_idx):
-        ords = orderings(m)
-        w = Q(1, len(ords))
-        for o in ords:
-            coeff = ONE
-            ok = True
-            for t in range(q):
-                a, b = o[2 * t], o[2 * t + 1]
-                if a != b:
-                    ok = False
-                    break
-                coeff *= metric.eps[a]
-            if ok:
-                j = col_pos[tuple(sorted(o[2 * q:]))]
-                mat[i][j] += coeff * w
-    return mat
+# ----------------------------------------------------------------------
+# covector symbols: dicts exponent tuple -> Poly, zero terms dropped
+# ----------------------------------------------------------------------
+
+def xi_add(P, e, c):
+    """Add c to the coefficient of xi^e in the symbol P, in place."""
+    cur = P.get(e)
+    s = c if cur is None else cur + c
+    if s.is_zero():
+        P.pop(e, None)
+    else:
+        P[e] = s
 
 
-def _trace_matrix(metric, p):
-    """Matrix of the trace map on rank-p symmetric tensors."""
-    n = metric.n
-    rows_idx = multisets(n, p - 2)
-    cols_idx = multisets(n, p)
-    col_pos = {m: j for j, m in enumerate(cols_idx)}
-    mat = [[ZERO] * len(cols_idx) for _ in rows_idx]
-    for i, m in enumerate(rows_idx):
+def symbol(t):
+    """sigma(S) = sum_m nord(m) S_m xi^m, the polynomial S(xi, .., xi)."""
+    n = t.metric.n
+    return {exponent(m, n): p.scale(nord(m)) for m, p in t.comps.items()}
+
+
+def from_symbol(P, metric, rank, weight=0):
+    """Inverse of symbol(): the rank-``rank`` tensor whose symbol is P."""
+    out = SymTensor(metric, rank, weight=weight)
+    for e, c in P.items():
+        m = multiset(e)
+        out.add_to(m, c.scale(Q(1, nord(m))))
+    return out
+
+
+def xi_raise(P, metric):
+    """Raise (equivalently lower) every index: xi^e gets prod eps_a^e_a."""
+    s = metric.s
+    return {e: (c.scale(-1) if sum(e[s:]) % 2 else c) for e, c in P.items()}
+
+
+def xi_laplacian(P, metric):
+    """Delta_xi P = sum_a eps_a d^2 P / dxi_a^2."""
+    out = {}
+    for e, c in P.items():
+        for a, k in enumerate(e):
+            if k >= 2:
+                xi_add(out, e[:a] + (k - 2,) + e[a + 1:],
+                       c.scale(metric.eps[a] * k * (k - 1)))
+    return out
+
+
+def xi_quadric(P, metric):
+    """Q P with the quadric Q = sum_a eps_a xi_a^2."""
+    out = {}
+    for e, c in P.items():
+        for a, k in enumerate(e):
+            xi_add(out, e[:a] + (k + 2,) + e[a + 1:], c.scale(metric.eps[a]))
+    return out
+
+
+def xi_reduce(P, metric):
+    """P modulo the quadric Q: no term keeps an exponent >= 2 in xi_0."""
+    out = {}
+    work = list(P.items())
+    while work:
+        e, c = work.pop()
+        if e[0] >= 2:
+            for a in range(1, metric.n):
+                e2 = list(e)
+                e2[0] -= 2
+                e2[a] += 2
+                work.append((tuple(e2),
+                             c.scale(-metric.eps[0] * metric.eps[a])))
+        else:
+            xi_add(out, e, c)
+    return out
+
+
+def xi_dx(P, n):
+    """(xi . d_x) P = sum_a xi_a dP/dx_a."""
+    out = {}
+    for e, c in P.items():
         for a in range(n):
-            mat[i][col_pos[tuple(sorted(m + (a, a)))]] += metric.eps[a]
-    return mat
+            dc = c.diff(a)
+            if not dc.is_zero():
+                xi_add(out, e[:a] + (e[a] + 1,) + e[a + 1:], dc)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _trace_decomp_solver(sig, p):
-    """Cached linear maps for the trace decomposition at rank p.
+    """Scalar coefficients of the closed-form trace decomposition at rank p.
 
-    Returns (ranks, blocks) where blocks[q] is the matrix taking the
-    component vector of a rank-p symmetric tensor to the component vector
-    of the trace-free piece U_q of rank p - 2q.
+    Entry q lists c_j = a_j / N_q for j = 0 .. d//2, d = p - 2q, where
+
+        Harm_d(P) = sum_j a_j Q^j Delta_xi^j P,
+        a_0 = 1,  a_j = -a_{j-1} / (2j (n + 2d - 2j - 2)),
+
+    is the harmonic projection of a degree-d symbol and N_q =
+    prod_{i=1..q} 2i (n + 2d + 2i - 2) is the factor by which
+    Delta_xi^q (Q^q h) exceeds h for harmonic h of degree d.  Then
+    sigma(U_q) = Harm_d(Delta_xi^q sigma(S)) / N_q.  (perfbench reads
+    this function's cache_info under this name.)
     """
-    metric = Metric(*sig)
-    n = metric.n
-    qmax = p // 2
-    col_ranks = [p - 2 * q for q in range(qmax + 1)]
-    col_sizes = [len(multisets(n, r)) for r in col_ranks]
-    offsets = [0]
-    for s in col_sizes:
-        offsets.append(offsets[-1] + s)
-    nunk = offsets[-1]
-    nval = len(multisets(n, p))
-    rows = []
-    # value equations: sum_q g^q . U_q = S
-    embeds = [_g_power_embed_matrix(metric, p, q) for q in range(qmax + 1)]
-    for i in range(nval):
-        row = [ZERO] * nunk
-        for q in range(qmax + 1):
-            for j in range(col_sizes[q]):
-                row[offsets[q] + j] = embeds[q][i][j]
-        rows.append(row)
-    rhs = [[ONE if j == i else ZERO for j in range(nval)] for i in range(nval)]
-    # trace conditions on each U_q
-    for q in range(qmax + 1):
-        r = col_ranks[q]
-        if r < 2:
-            continue
-        tm = _trace_matrix(metric, r)
-        for trow in tm:
-            row = [ZERO] * nunk
-            for j, v in enumerate(trow):
-                row[offsets[q] + j] = v
-            rows.append(row)
-            rhs.append([ZERO] * nval)
-    sol = linalg.solve(rows, rhs)  # nunk x nval
-    if linalg.rank(rows) != nunk:
-        raise linalg.LinAlgError("trace decomposition is not unique")
-    blocks = []
-    for q in range(qmax + 1):
-        blocks.append(sol[offsets[q]:offsets[q + 1]])
-    return col_ranks, blocks
+    n = sum(sig)
+    table = []
+    for q in range(p // 2 + 1):
+        d = p - 2 * q
+        norm = ONE
+        for i in range(1, q + 1):
+            norm *= 2 * i * (n + 2 * d + 2 * i - 2)
+        a = [ONE / norm]
+        for j in range(1, d // 2 + 1):
+            a.append(-a[-1] / (2 * j * (n + 2 * d - 2 * j - 2)))
+        table.append(a)
+    return table
+
+
+def _laplacian_chain(t):
+    """[sigma(S), Delta_xi sigma(S), .., Delta_xi^(p//2) sigma(S)]."""
+    chain = [symbol(t)]
+    for _ in range(t.rank // 2):
+        chain.append(xi_laplacian(chain[-1], t.metric))
+    return chain
+
+
+def _harmonic(chain, coeffs, metric):
+    """sum_j coeffs[j] Q^j chain[j], by Horner's rule in Q."""
+    acc = {}
+    for c, P in zip(reversed(coeffs), reversed(chain[:len(coeffs)])):
+        acc = xi_quadric(acc, metric)
+        for e, v in P.items():
+            xi_add(acc, e, v.scale(c))
+    return acc
 
 
 def decompose_traces(t):
@@ -305,28 +363,20 @@ def decompose_traces(t):
     p = t.rank
     if p < 2:
         return [t]
-    ranks, blocks = _trace_decomp_solver(metric.key(), p)
-    src = multisets(metric.n, p)
-    vec = [t.get(m) for m in src]
-    out = []
-    for q, r in enumerate(ranks):
-        tgt = multisets(metric.n, r)
-        u = SymTensor(metric, r, weight=t.weight)
-        for i, m in enumerate(tgt):
-            acc = Poly.zero(metric.n)
-            for j, pj in enumerate(vec):
-                c = blocks[q][i][j]
-                if c and not pj.is_zero():
-                    acc = acc + pj.scale(c)
-            if not acc.is_zero():
-                u.comps[m] = acc
-        out.append(u)
-    return out
+    chain = _laplacian_chain(t)
+    table = _trace_decomp_solver(metric.key(), p)
+    return [from_symbol(_harmonic(chain[q:], coeffs, metric), metric,
+                        p - 2 * q, weight=t.weight)
+            for q, coeffs in enumerate(table)]
 
 
 def trace_free(t):
     """Trace-free part of a symmetric tensor."""
-    return decompose_traces(t)[0]
+    if t.rank < 2:
+        return t
+    coeffs = _trace_decomp_solver(t.metric.key(), t.rank)[0]
+    return from_symbol(_harmonic(_laplacian_chain(t), coeffs, t.metric),
+                       t.metric, t.rank, weight=t.weight)
 
 
 def random_tracefree(metric, rank, degree, rng, weight=0):
@@ -574,32 +624,3 @@ def young22_space(dim, hmat):
     if key not in _young_cache:
         _young_cache[key] = Young22(dim, hmat)
     return _young_cache[key]
-
-
-def young22_tracefree(dense, metric):
-    """Trace-free (2,2) Young projection of a 4-index base tensor.
-
-    ``dense`` maps full index tuples (a,b,c,d) to Poly components.
-    Returns the projected dense dict (complete, including zeros dropped).
-    """
-    n = metric.n
-    hmat = [[metric.g(a, b) for b in range(n)] for a in range(n)]
-    sp = young22_space(n, hmat)
-    zero = Poly.zero(n)
-
-    def get(a, b, c, d):
-        return dense.get((a, b, c, d), zero)
-
-    vec = sp.coords_of_tensor(get)
-    _, proj = sp.project_coords(vec, nvars=n)
-    out = {}
-    for idx in ((a, b, c, d) for a in range(n) for b in range(n)
-                for c in range(n) for d in range(n)):
-        r = sp.coord_of(*idx)
-        if r is None:
-            continue
-        k, s = r
-        p = proj[k].scale(s)
-        if not p.is_zero():
-            out[idx] = p
-    return out

@@ -24,27 +24,12 @@ from functools import lru_cache
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
 from .tensor import Metric, PairSpace
-from . import linalg
 
 
 class SlotKind:
     STD = "S"
     FORM = "F"
     VEC = "V"
-
-
-class FlatScale:
-    """The flat scale: Schouten tensor and its trace vanish identically."""
-
-    def __init__(self, metric):
-        self.metric = metric
-
-    def schouten(self, a, b):
-        return ZERO
-
-    @property
-    def j(self):
-        return ZERO
 
 
 @lru_cache(maxsize=None)
@@ -82,14 +67,6 @@ def _hmat_cached(sig):
 def hmat(metric):
     """Tractor metric h_{AB} (equal to its own inverse)."""
     return _hmat_cached(metric.key())
-
-
-def slot_dim(kind, n):
-    if kind == SlotKind.STD:
-        return n + 2
-    if kind == SlotKind.FORM:
-        return (n + 2) * (n + 1) // 2
-    return n
 
 
 class TractorField:
@@ -159,14 +136,6 @@ class TractorField:
             out.comps[idx] = p
         return out
 
-    def map_components(self, f):
-        out = TractorField(self.metric, self.weight, self.slots)
-        for idx, p in self.comps.items():
-            q = f(p)
-            if not q.is_zero():
-                out.comps[idx] = q
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, TractorField):
             return NotImplemented
@@ -203,11 +172,6 @@ class TractorField:
         body = ", ".join(f"{i}: {p}" for i, p in sorted(self.comps.items()))
         return (f"TractorField(w={self.weight}, slots={''.join(self.slots)},"
                 f" {{{body}}})")
-
-
-def ConstTractor(metric, weight, slots, comps):
-    """Constant-component tractor field."""
-    return TractorField(metric, weight, slots, comps)
 
 
 # ----------------------------------------------------------------------
@@ -452,44 +416,6 @@ def casimir(t):
     return out
 
 
-def sharp(adj, t):
-    """Action of an adjoint tractor (single 'F' slot) on tractor slots."""
-    assert adj.slots == (SlotKind.FORM,)
-    metric = t.metric
-    n = metric.n
-    ps = pair_space(n)
-    h = hmat(metric)
-    out = TractorField(metric, t.weight + adj.weight, t.slots)
-    for (pi,), f in adj.comps.items():
-        P0, P1 = ps.pairs[pi]
-        for idx, p in t.comps.items():
-            for s, kind in enumerate(t.slots):
-                if kind == SlotKind.STD:
-                    B = idx[s]
-                    # (F # V)^A = F^{AC} h_{CB} V^B
-                    for (A, C, sg) in ((P0, P1, 1), (P1, P0, -1)):
-                        if h[C][B]:
-                            j = list(idx)
-                            j[s] = A
-                            out.add_to(tuple(j), (f * p).scale(sg * h[C][B]))
-                elif kind == SlotKind.FORM:
-                    M0, M1 = ps.pairs[idx[s]]
-                    for pos, (B, other) in enumerate(((M0, M1), (M1, M0))):
-                        for (A, C, sg) in ((P0, P1, 1), (P1, P0, -1)):
-                            if not h[C][B]:
-                                continue
-                            members = (A, other) if pos == 0 else (other, A)
-                            r = ps.sign_index(*members)
-                            if r is None:
-                                continue
-                            qi, sg2 = r
-                            j = list(idx)
-                            j[s] = qi
-                            out.add_to(tuple(j),
-                                       (f * p).scale(sg * sg2 * h[C][B]))
-    return out
-
-
 def x_mult(t):
     """Multiplication by the canonical tractor X; prepends an 'S' slot."""
     metric = t.metric
@@ -547,15 +473,6 @@ def contract(t1, t2):
 # parallel sections
 # ----------------------------------------------------------------------
 
-def _fiber_indices(metric, slots):
-    n = metric.n
-    dims = [slot_dim(k, n) for k in slots]
-    idxs = [()]
-    for d in dims:
-        idxs = [i + (a,) for i in idxs for a in range(d)]
-    return idxs
-
-
 def parallel_extend(t0):
     """Unique parallel extension of a constant fiber value at the origin.
 
@@ -597,58 +514,3 @@ def _partial_only(t):
             if not dp.is_zero():
                 out.add_to((a,) + idx, dp)
     return out
-
-
-def parallel_basis(metric, slots, weight=0, degree_cap=None):
-    """Exact basis of polynomial parallel sections of a tractor bundle.
-
-    Solves nabla T = 0 on a polynomial ansatz, raising the degree cap
-    until the kernel dimension stabilizes; the result is checked against
-    the fiber dimension.
-    """
-    from .poly import monomials_up_to_degree
-    n = metric.n
-    members = sum(2 if k == SlotKind.FORM else (1 if k == SlotKind.STD else 0)
-                  for k in slots)
-    if degree_cap is None:
-        degree_cap = 2 * members
-    fiber = _fiber_indices(metric, slots)
-
-    def kernel_at(cap):
-        monos = list(monomials_up_to_degree(n, cap))
-        unknowns = [(fi, e) for fi in fiber for e in monos]
-        upos = {u: i for i, u in enumerate(unknowns)}
-        rows = []
-        for fi in fiber:
-            for e in monos:
-                t = TractorField(metric, weight, slots,
-                                 {fi: Poly.monomial(n, e)})
-                nt = nabla(t)
-                col = upos[(fi, e)]
-                for idx, p in nt.comps.items():
-                    for ee, c in p.terms.items():
-                        rows.append((idx, ee, col, c))
-        # group into matrix rows by (output index, monomial)
-        bykey = {}
-        for idx, ee, col, c in rows:
-            bykey.setdefault((idx, ee), {})[col] = \
-                bykey.setdefault((idx, ee), {}).get(col, ZERO) + c
-        mat = [[r.get(j, ZERO) for j in range(len(unknowns))]
-               for r in bykey.values()]
-        basis = linalg.kernel(mat, len(unknowns)) if mat else []
-        out = []
-        for v in basis:
-            t = TractorField(metric, weight, slots)
-            for (fi, e), c in zip(unknowns, v):
-                if c:
-                    t.add_to(fi, Poly.monomial(n, e, c))
-            out.append(t)
-        return out
-
-    basis = kernel_at(degree_cap)
-    check = kernel_at(degree_cap + 1)
-    if len(check) != len(basis):
-        raise linalg.LinAlgError("parallel section space did not stabilize")
-    if len(basis) != len(fiber):
-        raise linalg.LinAlgError("parallel section count != fiber dimension")
-    return basis

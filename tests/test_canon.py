@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +104,28 @@ def test_extract_constraint_matrix_k1():
 def test_extract_constraint_matrix_k2():
     M = canon.extract_constraint_matrix(2, 1, 1)
     assert M == canon.c_matrix(2, 0)
+
+
+_WRONG_C_SCALAR = """
+import sys
+from tractor_symm import canon
+from tractor_symm.ckt import CKTError
+c_scalar = canon.c_scalar
+canon.c_scalar = lambda s, k: c_scalar(s, k) + 1
+try:
+    canon.extract_constraint_matrix(2, 1, 1)
+except CKTError as e:
+    print("CKTError", sys.flags.optimize, e)
+"""
+
+
+def test_constraint_check_survives_python_O():
+    # python -O strips asserts; the C-matrix check must still fire
+    src = os.path.dirname(os.path.dirname(canon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _WRONG_C_SCALAR],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("CKTError 1 constraint entry (0,0)")
 
 
 def test_classify_single(named_ckvs):

@@ -83,3 +83,21 @@ def test_report(capsys):
     assert code == 0
     assert doc["verdict"] == "pass"
     assert doc["result"]["dims"]["(1,0)"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmatrix", "det", "--k", "0"],
+    ["cmatrix", "det", "--k", "4", "--d", "9"],
+    ["ckt", "dim", "--n", "2"],
+    ["ckt", "dim", "--signature", "1,1"],
+    ["ckt", "dim", "--signature", "x"],
+    ["ckt", "dim", "--n", "3", "--p", "-1"],
+    ["ckt", "dim", "--n", "3", "--r", "-1"],
+    ["algebra", "graded", "--k", "2", "--t", "0"],
+])
+def test_bad_input_one_line(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -26,6 +26,13 @@ def test_solve_unique():
     A = [[Q(2), Q(0)], [Q(1), Q(3)]]
     x = linalg.solve_unique(A, [Q(4), Q(5)])
     assert x == [Q(2), Q(1)]
+    # no solution is reported before a kernel, as ckt.split relies on
+    B = [[Q(1), Q(1)], [Q(2), Q(2)]]
+    with pytest.raises(linalg.InconsistentSystem):
+        linalg.solve_unique(B, [Q(1), Q(3)])
+    with pytest.raises(linalg.LinAlgError) as err:
+        linalg.solve_unique(B, [Q(1), Q(2)])
+    assert not isinstance(err.value, linalg.InconsistentSystem)
 
 
 def test_inconsistent():

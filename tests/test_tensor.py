@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
 from tractor_symm.tensor import (Metric, SymTensor, trace, trace_free,
-                                 g_odot, decompose_traces,
-                                 random_tracefree, young22_space)
+                                 g_odot, decompose_traces, multisets,
+                                 random_tracefree, young22_space, symbol,
+                                 from_symbol, xi_laplacian, xi_quadric)
 
 
 def test_metric_trace():
@@ -41,25 +43,54 @@ def test_trace_free_indefinite():
     assert trace(tf).is_zero()
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 4))
-def test_trace_decomposition_roundtrip(seed, rank):
-    rng = random.Random(seed)
-    met = Metric.euclidean(3)
+def _random_tensor(met, rank, rng):
     t = SymTensor(met, rank)
-    from tractor_symm.tensor import multisets
-    for m in multisets(3, rank):
-        t.add_to(m, Poly.const(3, Q(rng.randint(-3, 3))))
+    for m in multisets(met.n, rank):
+        t.add_to(m, Poly.const(met.n, Q(rng.randint(-3, 3))))
+    return t
+
+
+def _check_decomposition(t):
+    # trace and g_odot work on indices, apart from the symbol calculus
     parts = decompose_traces(t)
-    # each part is trace-free and the g-powers rebuild the tensor
-    rebuilt = SymTensor.zero(met, rank)
+    rebuilt = SymTensor.zero(t.metric, t.rank)
     for q, u in enumerate(parts):
+        assert u.rank == t.rank - 2 * q
         assert u.rank < 2 or trace(u).is_zero()
         emb = u
         for _ in range(q):
             emb = g_odot(emb)
         rebuilt = rebuilt + emb
     assert rebuilt == t
+    assert trace_free(t) == parts[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 6),
+       st.sampled_from([(3, 0), (2, 1), (1, 2), (2, 2)]))
+def test_trace_decomposition_roundtrip(seed, rank, sig):
+    rng = random.Random(seed)
+    _check_decomposition(_random_tensor(Metric(*sig), rank, rng))
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (1, 3)])
+def test_symbol_calculus_matches_indices(sig):
+    # sigma(tr S) = Delta_xi sigma(S) / p(p-1) and sigma(g . S) = Q sigma(S)
+    met = Metric(*sig)
+    t = _random_tensor(met, 4, random.Random(sum(sig)))
+    assert from_symbol(symbol(t), met, 4) == t
+    lap = {e: c.scale(Q(1, 12)) for e, c in
+           xi_laplacian(symbol(t), met).items()}
+    assert from_symbol(lap, met, 2) == trace(t)
+    assert from_symbol(xi_quadric(symbol(t), met), met, 6) == g_odot(t)
+
+
+def test_trace_decomposition_rank10():
+    t = _random_tensor(Metric.euclidean(3), 10, random.Random(10))
+    start = time.perf_counter()
+    decompose_traces(t)
+    assert time.perf_counter() - start < 5
+    _check_decomposition(t)
 
 
 def test_random_tracefree_is_tracefree():
