@@ -18,7 +18,7 @@ from .tensor import (Metric, SymTensor, trace_free, young22_space)
 from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
                       double_D, double_D2, fund_D2, tractor_D, x_mult)
 from . import ckt, linalg
-from .ckt import CKTLabel, weyl_dim
+from .ckt import CKTLabel, CKTError, weyl_dim
 from .canon import CanonicalSymmetry
 from .diffop import laplacian_poly
 
@@ -94,7 +94,8 @@ def killing(I, J):
     J = _as_field(J)
     n = I.metric.n
     v = contract(I, J).get(()).scale(-4 * n)
-    assert v.is_constant(), "pairing of parallel sections must be constant"
+    if not v.is_constant():
+        raise CKTError(f"pairing of parallel sections is {v}, not constant")
     return v.constant_value()
 
 
@@ -267,11 +268,18 @@ def _check_residual(metric, residual):
     ps = pair_space(n)
     sp = young22_space(n + 2, hmat(metric))
     pair = lambda u, v: contract(u, v).get(())
-    assert pair(_embed_scalar(metric), residual).is_zero()
+
+    def check(module, v, what):
+        if not v.is_zero():
+            raise CKTError(f"product residual pairs to {v} with the "
+                           f"{module} module, {what}")
+
+    check("scalar", pair(_embed_scalar(metric), residual), "its generator")
     # adjoint module: pair against every embedded basis two-form
     for pi in range(ps.npairs()):
         B = TractorField(metric, 0, (SlotKind.FORM,), {(pi,): 1})
-        assert pair(_embed_adjoint(metric, B), residual).is_zero()
+        check("adjoint", pair(_embed_adjoint(metric, B), residual),
+              f"two-form {ps.pairs[pi]}")
     # symmetric trace-free module
     N = n + 2
     h = hmat(metric)
@@ -285,7 +293,8 @@ def _check_residual(metric, residual):
                 for d in range(N):
                     if h[c][d]:
                         S.add_to((c, d), Poly.const(n, -tr * Q(h[c][d], N)))
-            assert pair(_embed_sym(metric, S), residual).is_zero()
+            check("symmetric trace-free",
+                  pair(_embed_sym(metric, S), residual), f"entry ({a},{b})")
     # Young-(2,2) trace-free module
 
     def get(a, b, c, d):
@@ -299,8 +308,9 @@ def _check_residual(metric, residual):
             return Poly.zero(n)
         return v.scale(s1 * s2)
 
-    for m in sp.pairing_with_basis(sp.coords_of_tensor(get)):
-        assert m is None or m.is_zero()
+    for i, m in enumerate(sp.pairing_with_basis(sp.coords_of_tensor(get))):
+        if m is not None:
+            check("Young-(2,2) trace-free", m, f"basis vector {i}")
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +358,8 @@ def killing_oracle(phi, phib):
         for b in range(n):
             t2 = t2 + up(phi, b).diff(a) * up(phib, a).diff(b)
     val = t1.scale(-2) + t2.scale(n) - (div1 * div2).scale(Q(n - 2, n))
-    assert val.is_constant()
+    if not val.is_constant():
+        raise CKTError(f"Killing pairing formula gives {val}, not constant")
     return val.constant_value()
 
 
@@ -412,7 +423,9 @@ def ideal_coefficient(n, k):
     w = pk - pn.scale(Q(1, 2))
     lhs = (w * (pn + w)).scale(-1)
     rhs = ((pn - pk.scale(2)) * (pn + pk.scale(2))).scale(Q(1, 4))
-    assert lhs == rhs
+    if lhs != rhs:
+        raise CKTError(f"ideal coefficient: -w(n+w) = {lhs} differs from "
+                       f"(n-2k)(n+2k)/4 = {rhs}")
     return Q((n - 2 * k) * (n + 2 * k), 4 * n * (n + 1) * (n + 2))
 
 

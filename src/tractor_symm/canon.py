@@ -20,7 +20,7 @@ from .scalars import Q, ZERO, ONE, binom
 from .poly import Poly, monomials_up_to_degree
 from .tensor import (Metric, random_tracefree, xi_add, xi_laplacian,
                      xi_reduce)
-from .diffop import StdOp, OpType, reconstruct, compose_raw
+from .diffop import StdOp, OpType, reconstruct, compose_raw, normalize_raw
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
                       tractor_D, double_D, double_D2, fund_D, fund_D2,
                       x_mult, contract)
@@ -116,8 +116,12 @@ def verify_symmetry(phi, label, k):
     Sp = build_S(I, label, w_out, check_parallel=False)
     S_std = S.std_op()
     Sp_std = Sp.std_op()
-    lapk = StdOp.laplacian_power(metric, k)
-    residual = lapk.compose(S_std) - Sp_std.compose(lapk)
+    # one normalization of the symbol difference sigma(Delta^k S - S' Delta^k)
+    lapk = StdOp.laplacian_power(metric, k).to_raw()
+    diff = compose_raw(lapk, S_std.to_raw())
+    for alpha, c in compose_raw(Sp_std.to_raw(), lapk).items():
+        xi_add(diff, alpha, -c)
+    residual = normalize_raw(diff, metric)
     return SymmetryReport(k, label, w_in, w_out, residual, S_std, Sp_std,
                           time.time() - t0, trivial=(label.r >= k))
 
@@ -232,20 +236,32 @@ def regularity(k, d):
 def reduction_chain(k, d):
     """Column/row reduction of the binomial companion of the C-matrix.
 
-    Performs the elementary-operation stages explicitly, asserting the
+    Performs the elementary-operation stages explicitly, checking the
     closed forms of the three intermediate matrices and the final unit
     upper triangular shape, and audits the determinant through every
-    stage.  Returns the four matrices and the determinant bookkeeping.
+    stage; a failed check raises CKTError naming the stage and entry.
+    Returns the four matrices and the determinant bookkeeping.
     """
     if not 0 <= d <= k - 1:
         raise ValueError("need 0 <= d <= k-1")
     kd = k - d
+
+    def check(stage, D, want):
+        for s in range(kd):
+            for t in range(kd):
+                if D[s][t] != want(s, t):
+                    raise CKTError(
+                        f"reduction chain k={k}, d={d}, {stage}: entry "
+                        f"({s},{t}) is {D[s][t]}, expected {want(s, t)}")
+
     # companion matrix: entries binom(k, kd+s-t), differing from the
     # C-matrix entries by the power 2^{kd+s-t}
     Ct = [[binom(k, kd + s - t) for t in range(kd)] for s in range(kd)]
     det_tilde = det(Ct)
     detC = c_matrix(k, d).det()
-    assert detC == Q(2) ** (kd * kd) * det_tilde
+    if detC != Q(2) ** (kd * kd) * det_tilde:
+        raise CKTError(f"reduction chain k={k}, d={d}, companion: det C = "
+                       f"{detC}, expected 2^{kd * kd} * {det_tilde}")
 
     M = [row[:] for row in Ct]
     # stage 1: repeated right-to-left column additions
@@ -254,9 +270,7 @@ def reduction_chain(k, d):
             for s in range(kd):
                 M[s][t] += M[s][t + 1]
     D1 = [row[:] for row in M]
-    for s in range(kd):
-        for t in range(kd):
-            assert D1[s][t] == binom(k + kd - t - 1, kd + s - t)
+    check("stage 1", D1, lambda s, t: binom(k + kd - t - 1, kd + s - t))
 
     # stage 2: column then row scalings
     mult = ONE
@@ -271,9 +285,7 @@ def reduction_chain(k, d):
         for t in range(kd):
             M[s][t] *= c
     D2 = [row[:] for row in M]
-    for s in range(kd):
-        for t in range(kd):
-            assert D2[s][t] == Q(1, factorial(kd + s - t))
+    check("stage 2", D2, lambda s, t: Q(1, factorial(kd + s - t)))
 
     # stage 3: row then column scalings
     for s in range(kd):
@@ -287,22 +299,23 @@ def reduction_chain(k, d):
         for s in range(kd):
             M[s][t] *= c
     D3 = [row[:] for row in M]
-    for s in range(kd):
-        for t in range(kd):
-            assert D3[s][t] == binom(kd + s, kd + s - t)
+    check("stage 3", D3, lambda s, t: binom(kd + s, kd + s - t))
 
     # stage 4: upward row subtractions
     for step in range(1, kd):
         for s in range(kd - 1, step - 1, -1):
             M[s] = [a - b for a, b in zip(M[s], M[s - 1])]
     D4 = [row[:] for row in M]
-    for s in range(kd):
-        assert D4[s][s] == ONE
-        for t in range(s):
-            assert D4[s][t] == ZERO
+    # unit upper triangular; entries above the diagonal are free
+    check("stage 4", D4,
+          lambda s, t: D4[s][t] if t > s else (ONE if t == s else ZERO))
     # additions and subtractions preserve the determinant; scalings
     # multiply it by the recorded factor
-    assert det_tilde * mult == det(D4) == ONE
+    det4 = det(D4)
+    if not det_tilde * mult == det4 == ONE:
+        raise CKTError(f"reduction chain k={k}, d={d}, determinant audit: "
+                       f"{det_tilde} * {mult} = {det_tilde * mult}, "
+                       f"det D4 = {det4}, expected 1")
     return {"D1": ExactMatrix(D1), "D2": ExactMatrix(D2),
             "D3": ExactMatrix(D3), "D4": ExactMatrix(D4),
             "det": detC, "det_companion": det_tilde,
@@ -417,6 +430,9 @@ def classify(op, k):
         S = build_S(I, label, w, check_parallel=False)
         residual = residual - S.std_op()
         nt = residual.greatest_term()
-        assert nt is None or nt.sort_key() < t.sort_key()
+        if nt is not None and nt.sort_key() >= t.sort_key():
+            raise ClassificationError(
+                f"subtracting the canonical symmetry for {t!r} left "
+                f"greatest term {nt!r}; no strict decrease")
         pieces.append((label, phi))
     return pieces, tail

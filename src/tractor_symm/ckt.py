@@ -104,7 +104,9 @@ def weyl_dim(n, p, r):
         num *= sum(c * x for c, x in zip(root, l))
         den *= sum(c * x for c, x in zip(root, rho))
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise CKTError(f"Weyl dimension of label ({p},{r}) on n={n} "
+                       f"is {d}, not a positive integer")
     return int(d)
 
 

@@ -61,6 +61,14 @@ def _k(args):
     return args.k
 
 
+def _max_degree(args):
+    if args.max_degree is None:
+        return 3
+    if args.max_degree < 0:
+        _usage("need max-degree >= 0, got max-degree = %d" % args.max_degree)
+    return args.max_degree
+
+
 def _label(args):
     if args.p < 0 or args.r < 0:
         _usage("need p >= 0 and r >= 0, got p = %d, r = %d"
@@ -224,6 +232,7 @@ def cmd_compose(args):
 
 def cmd_decompose(args):
     metric = _metric(args)
+    max_degree = _max_degree(args)
     rng = random.Random(args.seed or 0)
     basis = ckt.solve(metric, CKTLabel(1, 0))
     i = rng.randrange(len(basis))
@@ -232,7 +241,7 @@ def cmd_decompose(args):
     J = algebra.GElement.from_ckv(basis[j])
     dec = algebra.decompose(I, J)
     rep = algebra.verify_dec2can(basis[i], basis[j], Q(0),
-                                 max_degree=args.max_degree or 3)
+                                 max_degree=max_degree)
     _emit(args, "decompose", _config(args, metric),
           {"pair": [i, j], "killing": qstr(dec.killing_part),
            "residual_terms": len(dec.residual.comps),
@@ -299,6 +308,7 @@ def cmd_algebra(args):
     metric = _metric(args)
     n = metric.n
     k = _k(args)
+    max_degree = _max_degree(args)
     if args.action == "graded":
         t = args.t if args.t is not None else 1
         if t < 1:
@@ -323,7 +333,7 @@ def cmd_algebra(args):
         out = []
         for (i, j) in pairs:
             rep = algebra.verify_dec2can(basis[i], basis[j], Q(0),
-                                         max_degree=args.max_degree or 3)
+                                         max_degree=max_degree)
             allok = allok and rep["all"]
             out.append({"pair": [i, j], "all": rep["all"]})
         _emit(args, "algebra dec2can", _config(args, metric), out, allok)
@@ -331,14 +341,13 @@ def cmd_algebra(args):
         i = rng.randrange(len(basis))
         j = rng.randrange(len(basis))
         ok = algebra.ideal_relation_check(basis[i], basis[j], k,
-                                          max_degree=args.max_degree or 3)
+                                          max_degree=max_degree)
         _emit(args, "algebra ideal", _config(args, metric),
               {"pair": [i, j],
                "coefficient": qstr(algebra.ideal_coefficient(n, k)),
                "holds": ok}, ok)
     elif args.action == "extra":
-        ok = algebra.lemma_extra_check(
-            k, metric, max_degree=args.max_degree or 3)
+        ok = algebra.lemma_extra_check(k, metric, max_degree=max_degree)
         _emit(args, "algebra extra", _config(args, metric),
               {"holds": ok}, ok)
 

@@ -7,15 +7,17 @@ An operator is kept as a sum of terms
 with phi symmetric trace-free.  The type of a term is <p|r>, its order
 p + 2r and its level p + r; types are compared by (level, order).
 The raw form sum_alpha c_alpha(x) d^alpha is kept as its covector symbol
-(``tensor``): a dict alpha -> c_alpha.  Normalization converts an
-arbitrary polynomial-coefficient derivative expression into standard form
-by decomposing the symbol at each total order into trace parts.
+(``tensor``): a dict alpha -> c_alpha.  Operators compose by the symbol
+product a#b (``compose_raw``) and act by sum_alpha c_alpha d^alpha f
+(``apply_raw``).  Normalization converts an arbitrary
+polynomial-coefficient derivative expression into standard form by
+decomposing the symbol at each total order into trace parts.
 """
 
 from math import factorial
 
-from .scalars import Q, ONE, qstr, qparse
-from .poly import Poly, monomials_of_degree, monomials_up_to_degree
+from .scalars import Q, qstr, qparse
+from .poly import Poly, monomials_up_to_degree
 from .tensor import (SymTensor, decompose_traces, symbol, from_symbol,
                      xi_add, xi_raise, xi_quadric)
 
@@ -139,23 +141,9 @@ class StdOp:
     # -- action on polynomials ---------------------------------------
 
     def apply(self, f):
-        metric = self.metric
-        n = metric.n
-        out = Poly.zero(n)
-        for t, coeff in self.terms.items():
-            g = f
-            for _ in range(t.r):
-                g = laplacian_poly(g, metric)
-            if g.is_zero():
-                continue
-            for alpha, c in xi_raise(symbol(coeff), metric).items():
-                dg = g.diff_multi(alpha)
-                if not dg.is_zero():
-                    out = out + c * dg
-        return out
+        return apply_raw(self.to_raw(), f)
 
-    def __call__(self, f):
-        return self.apply(f)
+    __call__ = apply
 
     # -- raw form and composition -------------------------------------
 
@@ -222,37 +210,52 @@ class StdOp:
         return "StdOp(" + " + ".join(bits) + ")"
 
 
-def compose_raw(r1, r2):
-    """Leibniz composition of two raw derivative expressions.
+def compose_raw(a, b):
+    """Symbol of the composition a after b of two raw forms.
 
-    Both arguments map multi-indices to Poly coefficients; the result is
-    the raw form of the first operator applied after the second.
+    a#b = sum_gamma (d_xi^gamma a)(d_x^gamma b) / gamma!.  gamma is
+    walked depth-first, raising only indices >= the last one raised, so
+    every multi-index is reached once, from its parent by one derivative
+    per coefficient: d_xi of (d_xi^gamma a) / gamma!, which carries the
+    factorial, and d_x of d_x^gamma b.  A branch ends where either side
+    vanishes, so S after Delta^k stops at gamma = 0.
     """
     out = {}
-    for alpha, c in r1.items():
-        for beta, d in r2.items():
-            # d^alpha (d(x) d^beta) over subsets gamma <= alpha
-            for gamma in _sub_multi(alpha):
-                dg = d.diff_multi(gamma)
-                if dg.is_zero():
-                    continue
-                binm = ONE
-                for ai, gi in zip(alpha, gamma):
-                    binm *= Q(factorial(ai),
-                              factorial(gi) * factorial(ai - gi))
-                tgt = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                xi_add(out, tgt, (c * dg).scale(binm))
+    n = len(next(iter(a), ()))
+
+    def walk(da, db, last, g):
+        # da = d_xi^gamma a / gamma!, db = d_x^gamma b; g = gamma[last]
+        for alpha, c in da.items():
+            for beta, d in db.items():
+                xi_add(out, tuple(x + y for x, y in zip(alpha, beta)), c * d)
+        for i in range(last, n):
+            m = g + 1 if i == last else 1
+            db2 = {}
+            for beta, d in db.items():
+                d = d.diff(i)
+                if not d.is_zero():
+                    db2[beta] = d
+            if not db2:
+                continue
+            da2 = {alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]:
+                   c.scale(Q(alpha[i], m))
+                   for alpha, c in da.items() if alpha[i]}
+            if da2:
+                walk(da2, db2, i, m)
+
+    if a and b:
+        walk(a, b, 0, 0)
     return out
 
 
-def _sub_multi(alpha):
-    """All multi-indices gamma <= alpha, componentwise."""
-    if not alpha:
-        yield ()
-        return
-    for rest in _sub_multi(alpha[1:]):
-        for g in range(alpha[0] + 1):
-            yield (g,) + rest
+def apply_raw(raw, f):
+    """The action sum_alpha c_alpha d^alpha f of a raw form on a Poly."""
+    out = Poly.zero(f.nvars)
+    for alpha, c in raw.items():
+        df = f.diff_multi(alpha)
+        if not df.is_zero():
+            out = out + c * df
+    return out
 
 
 def laplacian_poly(f, metric):
@@ -281,17 +284,9 @@ def normalize_raw(raw, metric):
         parts = decompose_traces(
             from_symbol(xi_raise(part, metric), metric, o))
         for q, u in enumerate(parts):
-            if u.is_zero():
-                continue
-            t = OpType(o - 2 * q, q)
-            if t in op.terms:
-                s = op.terms[t] + u
-                if s.is_zero():
-                    del op.terms[t]
-                else:
-                    op.terms[t] = s
-            else:
-                op.terms[t] = u
+            # <o-2q|q> has order o: no two parts share a type
+            if not u.is_zero():
+                op.terms[OpType(o - 2 * q, q)] = u
     return op
 
 
@@ -306,41 +301,16 @@ def reconstruct(action, metric, max_order, nvars=None):
     """
     n = nvars if nvars is not None else metric.n
     raw = {}
-    for beta in monomials_up_to_degree(n, max_order):
+    for beta in monomials_up_to_degree(n, max_order + 2):
         xb = Poly.monomial(n, beta)
-        img = action(xb)
-        acc = Poly.zero(n)
+        rem = action(xb) - apply_raw(raw, xb)
+        if rem.is_zero():
+            continue
+        if sum(beta) > max_order:
+            raise ValueError(
+                "action is not an order-%d operator" % max_order)
         fb = 1
         for bi in beta:
             fb *= factorial(bi)
-        for alpha, c in raw.items():
-            if any(a > b for a, b in zip(alpha, beta)):
-                continue
-            mult = ONE
-            e = []
-            for ai, bi in zip(alpha, beta):
-                mult *= Q(factorial(bi), factorial(bi - ai))
-                e.append(bi - ai)
-            acc = acc + (c * Poly.monomial(n, e)).scale(mult)
-        diff = img - acc
-        if not diff.is_zero():
-            raw[beta] = diff.scale(Q(1, fb))
-    # consistency check on two extra degrees
-    for d in (max_order + 1, max_order + 2):
-        for beta in monomials_of_degree(n, d):
-            xb = Poly.monomial(n, beta)
-            img = action(xb)
-            acc = Poly.zero(n)
-            for alpha, c in raw.items():
-                if any(a > b for a, b in zip(alpha, beta)):
-                    continue
-                mult = ONE
-                e = []
-                for ai, bi in zip(alpha, beta):
-                    mult *= Q(factorial(bi), factorial(bi - ai))
-                    e.append(bi - ai)
-                acc = acc + (c * Poly.monomial(n, e)).scale(mult)
-            if acc != img:
-                raise ValueError(
-                    "action is not an order-%d operator" % max_order)
+        raw[beta] = rem.scale(Q(1, fb))
     return normalize_raw(raw, metric)

@@ -414,6 +414,13 @@ class PairSpace:
         return self.index[(b, a)], -1
 
 
+def pair_metric(ps, h):
+    """W[p][q] = 2 (h_ac h_bd - h_ad h_bc), the full-index Lambda^2
+    pairing of the unit two-forms p = (a,b), q = (c,d) of ``ps``."""
+    return [[2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
+             for (c, d) in ps.pairs] for (a, b) in ps.pairs]
+
+
 class Young22:
     """Projector onto the trace-free (2,2) component of 4-index tensors.
 
@@ -480,16 +487,6 @@ class Young22:
         self.kernel_basis = linalg.kernel(rows, nc) if rows else [
             [ONE if j == i else ZERO for j in range(nc)] for i in range(nc)]
 
-    def _pair_metric(self):
-        """W[p][q] = full-index Lambda^2 pairing of unit pair coordinates."""
-        ps, h = self.ps, self.h
-        P = ps.npairs()
-        W = [[ZERO] * P for _ in range(P)]
-        for i, (a, b) in enumerate(ps.pairs):
-            for j, (c, d) in enumerate(ps.pairs):
-                W[i][j] = 2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
-        return W
-
     def _coord_weights(self):
         """Full-contraction pairing matrix on Sym^2(Lambda^2) coordinates.
 
@@ -497,7 +494,7 @@ class Young22:
         (i,j) and (j,i), hence the multiplicity factors.
         """
         if not hasattr(self, "_cw"):
-            W = self._pair_metric()
+            W = pair_metric(self.ps, self.h)
             nc = len(self.coords)
             cw = [[ZERO] * nc for _ in range(nc)]
             for k, (i, j) in enumerate(self.coords):

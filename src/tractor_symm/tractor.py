@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
-from .tensor import Metric, PairSpace
+from .tensor import Metric, PairSpace, pair_metric
 
 
 class SlotKind:
@@ -40,17 +40,7 @@ def pair_space(n):
 @lru_cache(maxsize=None)
 def _pair_W(sig):
     """Full-contraction pairing matrix for form slots: W[p][q]."""
-    metric = Metric(*sig)
-    n = metric.n
-    ps = pair_space(n)
-    h = hmat(metric)
-    P = ps.npairs()
-    W = [[ZERO] * P for _ in range(P)]
-    for i, (a, b) in enumerate(ps.pairs):
-        for j, (c, d) in enumerate(ps.pairs):
-            v = 2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
-            W[i][j] = v
-    return W
+    return pair_metric(pair_space(sum(sig)), _hmat_cached(sig))
 
 
 @lru_cache(maxsize=None)

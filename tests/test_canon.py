@@ -128,6 +128,28 @@ def test_constraint_check_survives_python_O():
     assert out.stdout.startswith("CKTError 1 constraint entry (0,0)")
 
 
+_WRONG_BINOM = """
+import sys
+from tractor_symm import canon
+from tractor_symm.ckt import CKTError
+binom = canon.binom
+canon.binom = lambda n, k: binom(n, k) + 1
+try:
+    canon.reduction_chain(3, 0)
+except CKTError as e:
+    print("CKTError", sys.flags.optimize, e)
+"""
+
+
+def test_reduction_chain_check_survives_python_O():
+    # the closed-form checks of every stage must fire without asserts
+    src = os.path.dirname(os.path.dirname(canon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _WRONG_BINOM],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("CKTError 1 reduction chain k=3, d=0")
+
+
 def test_classify_single(named_ckvs):
     e1, _, _ = named_ckvs
     I = ckt.split(e1, ckt.CKTLabel(1, 0))

@@ -94,6 +94,7 @@ def test_report(capsys):
     ["ckt", "dim", "--n", "3", "--p", "-1"],
     ["ckt", "dim", "--n", "3", "--r", "-1"],
     ["algebra", "graded", "--k", "2", "--t", "0"],
+    ["algebra", "extra", "--n", "3", "--k", "2", "--max-degree", "-1"],
 ])
 def test_bad_input_one_line(capsys, argv):
     assert run(argv) == 1
@@ -101,3 +102,48 @@ def test_bad_input_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_max_degree_zero_is_kept(capsys, monkeypatch):
+    seen = []
+
+    def fake(phi, phib, w, max_degree):
+        seen.append(max_degree)
+        return {"all": True}
+
+    monkeypatch.setattr(cli.algebra, "verify_dec2can", fake)
+    code, doc = run_json(capsys, ["algebra", "dec2can", "--n", "3",
+                                  "--seed", "1", "--max-degree", "0"])
+    assert code == 0
+    assert seen == [0, 0, 0]
+    assert doc["config"]["max-degree"] == 0
+
+
+def test_split(capsys):
+    code, doc = run_json(capsys, ["split", "--n", "3", "--p", "1",
+                                  "--r", "0", "--index", "2"])
+    assert code == 0 and doc["verdict"] == "pass"
+    (entry,) = doc["result"]
+    assert set(entry) == {"index", "parallel", "projects_back", "tractor"}
+    assert entry["index"] == 2 and entry["parallel"]
+    assert entry["projects_back"]
+    assert set(entry["tractor"]) == {"weight", "slots", "comps"}
+
+
+def test_compose(capsys):
+    code, doc = run_json(capsys, ["compose", "--n", "3", "--k", "2",
+                                  "--p", "1", "--r", "0", "--index", "2"])
+    assert code == 0 and doc["verdict"] == "pass"
+    res = doc["result"]
+    assert set(res) == {"lhs", "rhs_factor", "intertwines"}
+    assert res["intertwines"] is True
+    assert set(res["lhs"]) == set(res["rhs_factor"]) == {
+        "n", "signature", "terms"}
+
+
+def test_decompose(capsys):
+    code, doc = run_json(capsys, ["decompose", "--n", "3", "--seed", "2"])
+    assert code == 0 and doc["verdict"] == "pass"
+    res = doc["result"]
+    assert set(res) == {"pair", "killing", "residual_terms", "dec2can"}
+    assert res["dec2can"]["all"] is True

@@ -1,11 +1,13 @@
 import random
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric, SymTensor, random_tracefree
-from tractor_symm.diffop import StdOp, OpType, normalize_raw, reconstruct
+from tractor_symm.tensor import Metric, random_tracefree, xi_add
+from tractor_symm.diffop import (StdOp, OpType, normalize_raw, reconstruct,
+                                 laplacian_poly, compose_raw)
 
 
 MET = Metric.euclidean(3)
@@ -39,6 +41,25 @@ def test_apply_matches_raw():
     assert direct == via_raw
 
 
+def test_apply_matches_index_form():
+    # phi^{a_1..a_p} d_{a_1}..d_{a_p} Delta^r f summed over index tuples,
+    # with no symbol: an oracle for apply = sum_alpha c_alpha d^alpha
+    rng = random.Random(2)
+    for met in (MET, Metric(2, 1)):
+        phi = random_tracefree(met, 2, 1, rng)
+        op = StdOp.from_coeff(phi, 1)
+        f = Poly(3, {e: Q(rng.randint(-3, 3))
+                     for e in monomials_up_to_degree(3, 4)})
+        g = laplacian_poly(f, met)
+        want = Poly.zero(3)
+        for idx in product(range(3), repeat=2):
+            dg = g
+            for a in idx:
+                dg = dg.diff(a).scale(met.eps[a])
+            want = want + phi.get(idx) * dg
+        assert op(f) == want
+
+
 def test_normalize_roundtrip():
     rng = random.Random(4)
     phi = random_tracefree(MET, 2, 2, rng)
@@ -56,6 +77,20 @@ def test_compose_is_composition():
         assert ab(f) == a(b(f))
 
 
+def test_residual_from_one_symbol_difference():
+    # normalize_raw is linear: normalizing sigma(L a) - sigma(b L) once
+    # gives the difference of the two normal forms
+    rng = random.Random(12)
+    lap = StdOp.laplacian_power(MET, 2)
+    a, b = _random_op(MET, rng), _random_op(MET, rng)
+    diff = compose_raw(lap.to_raw(), a.to_raw())
+    for alpha, c in compose_raw(b.to_raw(), lap.to_raw()).items():
+        xi_add(diff, alpha, -c)
+    res = normalize_raw(diff, MET)
+    assert not res.is_zero()
+    assert res == lap.compose(a) - b.compose(lap)
+
+
 def test_reconstruct():
     rng = random.Random(6)
     op = (StdOp.from_coeff(random_tracefree(MET, 2, 1, rng), 0)
@@ -70,14 +105,23 @@ def test_serialization_roundtrip():
     assert StdOp.from_dict(op.to_dict()) == op
 
 
+def _random_op(met, rng):
+    """A sum of two terms with polynomial coefficients."""
+    op = StdOp.zero(met)
+    for _ in range(2):
+        coeff = random_tracefree(met, rng.randint(0, 2), rng.randint(1, 2),
+                                 rng)
+        op = op + StdOp.from_coeff(coeff, rng.randint(0, 1))
+    return op
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_compose_associative_on_action(seed):
     rng = random.Random(seed)
-    a = StdOp.from_coeff(random_tracefree(MET, 1, 1, rng), 0)
-    sig = Poly(3, {e: Q(rng.randint(-2, 2))
-                   for e in monomials_up_to_degree(3, 2)})
-    b = StdOp.from_coeff(SymTensor(MET, 0, {(): sig}), 1)
+    met = Metric(*rng.choice([(3, 0), (2, 1), (1, 2)]))
+    a = _random_op(met, rng)
+    b = _random_op(met, rng)
     ab = a.compose(b)
     ba = b.compose(a)
     f = Poly(3, {e: Q(rng.randint(-2, 2))
