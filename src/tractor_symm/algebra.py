@@ -548,36 +548,20 @@ def brute_dim_oracle(k, t, n):
     N = metric.n + 2
     h = hmat(metric)
     ps = pair_space(metric.n)
-    P = ps.npairs()
     if t == 1:
-        return P
+        return ps.npairs()
     if t != 2:
         raise ValueError("oracle is only feasible for t <= 2")
-    coords = [(i, j) for i in range(P) for j in range(i, P)]
-    cindex = {c: m for m, c in enumerate(coords)}
-
-    def coord_of(a, b, c, d):
-        r1 = ps.sign_index(a, b)
-        r2 = ps.sign_index(c, d)
-        if r1 is None or r2 is None:
-            return None
-        (i, s1), (j, s2) = r1, r2
-        if i > j:
-            i, j = j, i
-        return cindex[(i, j)], s1 * s2
-
     rows = []
 
     def add_row(entries):
         row = {}
         for (a, b, c, d), coeff in entries:
-            r = coord_of(a, b, c, d)
+            r = ps.coord_of(a, b, c, d)
             if r is not None:
                 m, s = r
                 row[m] = row.get(m, ZERO) + coeff * s
-        row = {m: v for m, v in row.items() if v}
-        if row:
-            rows.append([row.get(m, ZERO) for m in range(len(coords))])
+        rows.append(row)
 
     for (a, b, c) in combinations_with_replacement(range(N), 3):
         if len({a, b, c}) < 3:
@@ -606,4 +590,4 @@ def brute_dim_oracle(k, t, n):
                             entries.append(((a, b, c, d),
                                             Q(h[a][c] * h[b][d])))
         add_row(entries)
-    return len(coords) - linalg.rank(rows)
+    return len(ps.coords) - linalg.rank(rows)

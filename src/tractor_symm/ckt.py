@@ -223,10 +223,7 @@ def _solve_degree(metric, label, d):
                 if row:
                     rows.append(row)
 
-    if rows and linalg.has_full_column_rank_mod(rows, ncols):
-        return []
-    basis = linalg.kernel_sparse(rows, ncols) if rows else \
-        [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
+    basis = linalg.kernel(rows, ncols)
     out = []
     inv_cols = {v: k for k, v in cols.items()}
     for i, v in enumerate(basis):
@@ -431,35 +428,27 @@ def split(phi, label):
     members_cols = [_expanded_members(metric, label, e) for e in expanded_cols]
     crows = _cartan_constraint_rows(metric, label, members_cols)
 
-    # parallel extension of each reduced coordinate, then its projecting part
-    ext_dense = []
-    for ex in expanded_cols:
-        t0 = TractorField(metric, 0, slots, ex)
-        ti = parallel_extend(t0)
-        ext_dense.append(_extract_dense(ti, label))
-
-    nred = len(red)
-    rows = [[row.get(j, ZERO) for j in range(nred)] for row in crows]
-    rhs = [ZERO] * len(rows)
-    # extraction equations, per ordered index tuple and monomial
-    monos = set()
-    for dd in ext_dense:
-        for v in dd.values():
-            monos.update(v.terms)
-    for m, ph in phi.comps.items():
-        monos.update(ph.terms)
-    monos = sorted(monos)
+    # extraction equations, per ordered index tuple and monomial: the
+    # projecting part of each reduced coordinate's parallel extension
+    # must sum to phi (raised, to compare upper parts)
+    ext = {}
+    for j, ex in enumerate(expanded_cols):
+        ti = parallel_extend(TractorField(metric, 0, slots, ex))
+        for aa, v in _extract_dense(ti, label).items():
+            for e, c in v.terms.items():
+                ext.setdefault((aa, e), {})[j] = c
+    target = {}
     for aa in product_tuples(n, p):
         eps = ONE
         for a in aa:
             eps *= metric.eps[a]
-        target = phi.get(aa).scale(eps)  # raise phi to compare upper parts
-        for e in monos:
-            row = [dd.get(aa, Poly.zero(n)).coeff(e) for dd in ext_dense]
-            rows.append(row)
-            rhs.append(target.coeff(e))
+        for e, c in phi.get(aa).terms.items():
+            target[(aa, e)] = c * eps
+    keys = ext.keys() | target.keys()
+    rows = crows + [ext.get(k, {}) for k in keys]
+    rhs = [ZERO] * len(crows) + [target.get(k, ZERO) for k in keys]
     try:
-        cvec = linalg.solve_unique(rows, rhs)
+        cvec = linalg.solve(rows, rhs, len(red))
     except linalg.InconsistentSystem:
         raise CKTError(
             f"tensor is not a solution for label {label}: the parallel "
@@ -479,13 +468,13 @@ def split(phi, label):
 # Lie derivative
 # ----------------------------------------------------------------------
 
-def lie_derivative(phi, field, adj=None):
+def lie_derivative(phi, field):
     """Lie derivative along a conformal Killing field.
 
     ``phi`` is a label (1,0) solution (weight-2 covector components).
     Acts on weighted fields with covector slots: transport plus the
     density weight term -(w/n) div(phi) plus the usual covector-slot
-    action.  ``adj`` is accepted for signature compatibility but unused.
+    action.
     """
     metric = phi.metric
     n = metric.n

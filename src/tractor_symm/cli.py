@@ -428,6 +428,10 @@ def main(argv=None):
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_RESOURCE
+    except (ckt.CKTError, canon.ClassificationError) as e:
+        # the message names the failed stage and entry: it is the witness
+        sys.stderr.write("error: %s\n" % e)
+        return EXIT_VERIFY
     return EXIT_PASS
 
 

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense Gaussian elimination over exact rationals is the workhorse; it is
-used for splitting operators and the various projector computations,
-all of which involve matrices of a few hundred rows at most.  For the
-large sparse prolongation systems there is a fraction-free sparse kernel
-routine plus a modular rank certificate that lets us skip exact
-elimination when the kernel is provably trivial.
+Every rank, kernel and solve goes through one sparse fraction-free
+echelon: a row is a dict from column index to a rational, scaled to
+coprime integers, and a row is reduced against the pivot row of its
+leading column by integer cross-multiplication.  The systems met here
+(prolongation, splitting, Young projection) have a few entries per row,
+so the work follows the nonzeros.  ``det`` is separate: dense
+elimination on the small square C-matrices.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Q, ZERO, ONE
 
@@ -23,47 +24,6 @@ class InconsistentSystem(LinAlgError):
 
 def _as_rows(mat):
     return [[Q(x) for x in row] for row in mat]
-
-
-def rref(rows, ncols=None, aug=0):
-    """In-place reduced row echelon form.
-
-    The last ``aug`` columns are treated as augmented (never pivoted on).
-    Returns the list of pivot column indices.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols - aug):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def rank(mat):
-    rows = _as_rows(mat)
-    if not rows:
-        return 0
-    return len(rref(rows))
 
 
 def det(mat):
@@ -93,75 +53,6 @@ def det(mat):
     return d
 
 
-def _solve(mat, rhs):
-    """One elimination of [A | b]: (particular solution, rank of A, ncols)."""
-    rows = _as_rows(mat)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    vec = rhs and not isinstance(rhs[0], (list, tuple))
-    brows = [[Q(x)] for x in rhs] if vec else _as_rows(rhs)
-    nb = len(brows[0]) if brows else 0
-    aug = [rows[i] + brows[i] for i in range(nrows)]
-    pivots = rref(aug, ncols + nb, aug=nb)
-    r = len(pivots)
-    for i in range(r, nrows):
-        if any(aug[i][ncols:]):
-            raise InconsistentSystem("no solution")
-    if vec:
-        x = [ZERO] * ncols
-        for i, c in enumerate(pivots):
-            x[c] = aug[i][ncols]
-        return x, r, ncols
-    X = [[ZERO] * nb for _ in range(ncols)]
-    for i, c in enumerate(pivots):
-        X[c] = aug[i][ncols:]
-    return X, r, ncols
-
-
-def solve(mat, rhs):
-    """Solve A x = b exactly.
-
-    ``rhs`` may be a vector or a matrix (list of rows, one per row of A).
-    Returns a particular solution (free variables set to zero).  Raises
-    InconsistentSystem when no solution exists.
-    """
-    return _solve(mat, rhs)[0]
-
-
-def solve_unique(mat, rhs):
-    """Like solve() but additionally requires full column rank.
-
-    Raises InconsistentSystem when no solution exists, else LinAlgError
-    when A has a nontrivial kernel; both from the one elimination.
-    """
-    x, r, ncols = _solve(mat, rhs)
-    if r != ncols:
-        raise LinAlgError("solution is not unique")
-    return x
-
-
-def kernel(mat, ncols=None):
-    """Basis of the right null space, as a list of Q-vectors."""
-    rows = _as_rows(mat)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[ONE if j == i else ZERO for j in range(ncols)]
-                for i in range(ncols)]
-    pivots = rref(rows, ncols)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(v)
-    return basis
-
-
 # -- sparse fraction-free elimination -----------------------------------
 
 def _row_div_gcd(row):
@@ -176,22 +67,27 @@ def _row_div_gcd(row):
     return row
 
 
-def kernel_sparse(rows, ncols):
-    """Kernel basis for a sparse integer matrix.
+def _integral(row):
+    """A rational row scaled to coprime integers, zeros dropped."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _row_div_gcd({k: x.numerator * (den // x.denominator)
+                         for k, x in row.items() if x})
 
-    ``rows`` is a list of dicts mapping column index to a nonzero int.
-    Elimination is fraction-free (integer cross-multiplication with gcd
-    reduction); back substitution produces exact rational vectors.
+
+def echelon(rows):
+    """Row echelon form of sparse rational rows: {pivot column: row}.
+
+    Each returned row is an integer dict whose smallest column is its
+    pivot; every input row lies in their span.
     """
-    rows = [_row_div_gcd(dict(r)) for r in rows if r]
-    # col -> eliminated row with pivot at col
-    echelon = {}
+    ech = {}
     for row in rows:
+        row = _integral(row)
         while row:
             c = min(row)
-            piv = echelon.get(c)
+            piv = ech.get(c)
             if piv is None:
-                echelon[c] = _row_div_gcd(row)
+                ech[c] = row
                 break
             a, b = piv[c], row[c]
             g = gcd(a, b)
@@ -202,58 +98,66 @@ def kernel_sparse(rows, ncols):
                 if v:
                     new[k] = v
             row = _row_div_gcd(new)
-    pivcols = sorted(echelon, reverse=True)
-    pivset = set(pivcols)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
+    return ech
+
+
+def _back_substitute(pivots, x, upto):
+    """Fill in the pivot entries below column ``upto`` of the dict ``x``
+    so that it solves every row; ``pivots`` are the echelon's (column,
+    row) pairs, last column first."""
+    for c, row in pivots:
+        if c >= upto:
             continue
-        v = {f: ONE}
-        for c in pivcols:
-            if c > f:
-                continue
-            row = echelon[c]
-            s = ZERO
-            for k, a in row.items():
-                if k > c and k in v:
-                    s += a * v[k]
-            if s:
-                v[c] = -s / Q(row[c])
-        basis.append([v.get(j, ZERO) for j in range(ncols)])
-    return basis
+        s = ZERO
+        for k, a in row.items():
+            if k > c and k in x:
+                s += a * x[k]
+        if s:
+            x[c] = -s / Q(row[c])
+    return x
 
 
-_MOD_PRIMES = (2147483629, 2147483587)
+def rank(rows):
+    return len(echelon(rows))
 
 
-def has_full_column_rank_mod(rows, ncols, prime=_MOD_PRIMES[0]):
-    """Certify full column rank of a sparse integer matrix modulo a prime.
+def kernel(rows, ncols):
+    """Basis of the right null space, one dense Q-vector per free column."""
+    ech = echelon(rows)
+    pivots = sorted(ech.items(), reverse=True)
+    return [[v.get(j, ZERO) for j in range(ncols)]
+            for v in (_back_substitute(pivots, {f: ONE}, f)
+                      for f in range(ncols) if f not in ech)]
 
-    Full rank mod p implies full rank over Q (the converse can fail, so a
-    negative answer is only a hint to fall back to exact elimination).
+
+def solve(rows, rhs, ncols):
+    """The unique solution of A x = b.
+
+    ``rhs`` is one vector b (an entry per row) or a list of them, taken
+    as trailing columns of one elimination; the solution has the same
+    shape.  Raises InconsistentSystem when some b has no solution, else
+    LinAlgError when A has a nontrivial kernel.
     """
-    echelon = {}
-    nfound = 0
-    for row in rows:
-        row = {k: v % prime for k, v in row.items() if v % prime}
-        while row:
-            c = min(row)
-            piv = echelon.get(c)
-            if piv is None:
-                inv = pow(row[c], prime - 2, prime)
-                echelon[c] = {k: (v * inv) % prime for k, v in row.items()}
-                nfound += 1
-                if nfound == ncols:
-                    return True
-                break
-            f = row[c]
-            new = {}
-            for k in set(row) | set(piv):
-                v = (row.get(k, 0) - f * piv.get(k, 0)) % prime
-                if v:
-                    new[k] = v
-            row = new
-    return nfound == ncols
+    many = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    cols = rhs if many else [rhs]
+    aug = []
+    for i, row in enumerate(rows):
+        row = dict(row)
+        for j, b in enumerate(cols):
+            if b[i]:
+                row[ncols + j] = b[i]
+        aug.append(row)
+    ech = echelon(aug)
+    if any(c >= ncols for c in ech):
+        raise InconsistentSystem("no solution")
+    if len(ech) != ncols:
+        raise LinAlgError("solution is not unique")
+    pivots = sorted(ech.items(), reverse=True)
+    out = []
+    for j in range(len(cols)):
+        x = _back_substitute(pivots, {ncols + j: -ONE}, ncols)
+        out.append([x.get(c, ZERO) for c in range(ncols)])
+    return out if many else out[0]
 
 
 class ExactMatrix:
@@ -261,39 +165,14 @@ class ExactMatrix:
 
     def __init__(self, rows):
         self.rows = _as_rows(rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == self.ncols for r in self.rows)
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other):
         if isinstance(other, ExactMatrix):
             other = other.rows
         return self.rows == _as_rows(other)
 
-    def __matmul__(self, other):
-        orows = other.rows if isinstance(other, ExactMatrix) else _as_rows(other)
-        out = [[sum((a * b for a, b in zip(row, col)), ZERO)
-                for col in zip(*orows)] for row in self.rows]
-        return ExactMatrix(out)
-
-    def rank(self):
-        return rank(self.rows)
-
     def det(self):
         return det(self.rows)
-
-    def solve(self, rhs):
-        return solve(self.rows, rhs)
-
-    def kernel(self):
-        return kernel(self.rows, self.ncols)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in r) + "]"

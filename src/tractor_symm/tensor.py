@@ -401,6 +401,10 @@ class PairSpace:
         self.dim = dim
         self.pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
         self.index = {p: i for i, p in enumerate(self.pairs)}
+        # coordinates on Sym^2(Lambda^2): unordered pairs of pair indices
+        P = len(self.pairs)
+        self.coords = [(i, j) for i in range(P) for j in range(i, P)]
+        self.coord_index = {c: k for k, c in enumerate(self.coords)}
 
     def npairs(self):
         return len(self.pairs)
@@ -412,6 +416,18 @@ class PairSpace:
         if a < b:
             return self.index[(a, b)], 1
         return self.index[(b, a)], -1
+
+    def coord_of(self, a, b, c, d):
+        """(Sym^2(Lambda^2) coordinate, sign) of G_{abcd}; None if it
+        vanishes by skewness."""
+        s1 = self.sign_index(a, b)
+        s2 = self.sign_index(c, d)
+        if s1 is None or s2 is None:
+            return None
+        (i, sa), (j, sb) = s1, s2
+        if i > j:
+            i, j = j, i
+        return self.coord_index[(i, j)], sa * sb
 
 
 def pair_metric(ps, h):
@@ -433,39 +449,22 @@ class Young22:
         self.dim = dim
         self.h = [[Q(x) for x in row] for row in hmat]
         self.ps = PairSpace(dim)
-        P = self.ps.npairs()
-        # coordinates on Sym^2(Lambda^2): unordered pairs of pair indices
-        self.coords = [(i, j) for i in range(P) for j in range(i, P)]
-        self.coord_index = {c: k for k, c in enumerate(self.coords)}
+        self.coords = self.ps.coords
         self._build_kernel()
         self._build_gram()
 
-    # coordinate c represents the value G_{[AB][CD]} with pair indices i<=j
-    def coord_of(self, a, b, c, d):
-        """(coord index, sign) of G_{abcd}; None if it vanishes by skewness."""
-        s1 = self.ps.sign_index(a, b)
-        s2 = self.ps.sign_index(c, d)
-        if s1 is None or s2 is None:
-            return None
-        (i, sa), (j, sb) = s1, s2
-        if i > j:
-            i, j = j, i
-        return self.coord_index[(i, j)], sa * sb
-
     def _build_kernel(self):
-        dim, nc = self.dim, len(self.coords)
+        dim = self.dim
         rows = []
 
         def add_row(entries):
             row = {}
             for (a, b, c, d), coeff in entries:
-                r = self.coord_of(a, b, c, d)
+                r = self.ps.coord_of(a, b, c, d)
                 if r is not None:
                     k, s = r
                     row[k] = row.get(k, ZERO) + coeff * s
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append([row.get(k, ZERO) for k in range(nc)])
+            rows.append(row)
 
         # first Bianchi: cyclic sum over the first three slots
         for (a, b, c) in combinations_with_replacement(range(dim), 3):
@@ -484,8 +483,7 @@ class Young22:
                         if hv:
                             entries.append(((a, b, c, d), hv))
                 add_row(entries)
-        self.kernel_basis = linalg.kernel(rows, nc) if rows else [
-            [ONE if j == i else ZERO for j in range(nc)] for i in range(nc)]
+        self.kernel_basis = linalg.kernel(rows, len(self.coords))
 
     def _coord_weights(self):
         """Full-contraction pairing matrix on Sym^2(Lambda^2) coordinates.
@@ -522,7 +520,8 @@ class Young22:
             return total
 
         B = self.kernel_basis
-        self.gram = [[inner(u, v) for v in B] for u in B]
+        self.gram = [{l: g for l, v in enumerate(B) if (g := inner(u, v))}
+                     for u in B]
 
     def coords_of_tensor(self, get):
         """Sym^2(Lambda^2) coordinate vector of a dense 4-tensor.
@@ -590,7 +589,7 @@ class Young22:
                         proj[k] = proj[k] + ci.scale(bk)
         else:
             m = [ZERO if x is None else Q(x) for x in m]
-            coeffs = linalg.solve(self.gram, m)
+            coeffs = linalg.solve(self.gram, m, len(self.gram))
             proj = [ZERO] * len(self.coords)
             for ci, bvec in zip(coeffs, self.kernel_basis):
                 if ci:
@@ -600,17 +599,16 @@ class Young22:
         return coeffs, proj
 
 
-def _solve_polys(A, rhs_polys, nvars):
-    """Solve A x = b where b has Poly entries, column by monomial."""
+def _solve_polys(rows, rhs_polys, nvars):
+    """Solve A x = b for a square A and Poly entries of b, with one
+    right-hand side per monomial."""
     monos = sorted({e for p in rhs_polys for e in p.terms})
     if not monos:
-        return [Poly.zero(nvars) for _ in range(len(A[0]) if A else 0)]
-    B = [[p.terms.get(e, ZERO) for e in monos] for p in rhs_polys]
-    X = linalg.solve(A, B)
-    out = []
-    for row in X:
-        out.append(Poly(nvars, {e: c for e, c in zip(monos, row) if c}))
-    return out
+        return [Poly.zero(nvars) for _ in rows]
+    X = linalg.solve(rows, [[p.coeff(e) for p in rhs_polys] for e in monos],
+                     len(rows))
+    return [Poly(nvars, {e: x[i] for e, x in zip(monos, X)})
+            for i in range(len(rows))]
 
 
 _young_cache = {}

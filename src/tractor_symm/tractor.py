@@ -198,19 +198,11 @@ def nabla(t):
                     A, B = ps.pairs[idx[s]]
                     for aout, ain, c in gam:
                         if A == ain:
-                            tmp = TractorField(metric, t.weight,
-                                               (SlotKind.VEC,) + t.slots)
-                            tmp.form_add(s + 1, (aout, B), (a,) + idx,
+                            out.form_add(s + 1, (aout, B), (a,) + idx,
                                          p.scale(c))
-                            for k, v in tmp.comps.items():
-                                out.add_to(k, v)
                         if B == ain:
-                            tmp = TractorField(metric, t.weight,
-                                               (SlotKind.VEC,) + t.slots)
-                            tmp.form_add(s + 1, (A, aout), (a,) + idx,
+                            out.form_add(s + 1, (A, aout), (a,) + idx,
                                          p.scale(c))
-                            for k, v in tmp.comps.items():
-                                out.add_to(k, v)
     return out
 
 
@@ -466,41 +458,51 @@ def contract(t1, t2):
 def parallel_extend(t0):
     """Unique parallel extension of a constant fiber value at the origin.
 
-    The coupled connection is flat with commuting, nilpotent coefficient
-    matrices, so the extension is polynomial and the series terminates.
+    The connection coefficients Gamma_a commute and are nilpotent, so the
+    extension is I(x) = (E(x) (x) ... (x) E(x)) I(0) with
+    E = exp(-x^a Gamma_a) = 1 + M + M^2/2, M = -x^a Gamma_a: E acts on
+    standard slots, Lambda^2 E on form slots, covector slots are inert.
     """
     metric = t0.metric
     n = metric.n
-    cur = TractorField(metric, t0.weight, t0.slots, dict(t0.comps))
-    total = cur
-    k = 0
-    while not cur.is_zero():
-        k += 1
-        nxt = TractorField(metric, t0.weight, t0.slots)
-        grad = nabla(cur)
-        # nabla(cur) = dcur + Gamma cur; we need -x^a Gamma_a cur / k,
-        # and for polynomial cur the derivative part regenerates lower
-        # terms, so work directly with the connection action instead:
-        conn = grad - _partial_only(cur)
-        for idx, p in conn.comps.items():
-            # d_a T = -Gamma_a T, so the next Taylor layer is
-            # -(1/k) x^a (Gamma_a cur); the direction label a is a
-            # coordinate label, no metric factor enters.
-            a = idx[0]
-            xa = Poly.var(n, a)
-            nxt.add_to(idx[1:], (xa * p).scale(Q(-1, k)))
-        cur = nxt
-        total = total + cur
-    return total
-
-
-def _partial_only(t):
-    metric = t.metric
-    n = metric.n
-    out = TractorField(metric, t.weight, (SlotKind.VEC,) + t.slots)
+    ps = pair_space(n)
+    # E[A][C], stored by column C as {A: entry}
+    zero, one = Poly.zero(n), Poly.const(n, 1)
+    E = [{C: one} for C in range(n + 2)]
+    quad = zero
     for a in range(n):
-        for idx, p in t.comps.items():
-            dp = p.diff(a)
-            if not dp.is_zero():
-                out.add_to((a,) + idx, dp)
+        xa = Poly.var(n, a)
+        E[a + 1][0] = xa.scale(metric.eps[a])
+        E[n + 1][a + 1] = xa.scale(-1)
+        quad = quad + (xa * xa).scale(metric.eps[a])
+    E[n + 1][0] = quad.scale(Q(-1, 2))
+    E2 = {}
+
+    def form_col(P):
+        """Column (C,D) = pairs[P] of Lambda^2 E, as {pair index: entry}:
+        (Lambda^2 E)[(A,B)][(C,D)] = E[A][C] E[B][D] - E[A][D] E[B][C]."""
+        if P not in E2:
+            C, D = ps.pairs[P]
+            col = {}
+            for A, eac in E[C].items():
+                for B, ebd in E[D].items():
+                    r = ps.sign_index(A, B)
+                    if r is not None:
+                        k, sign = r
+                        col[k] = col.get(k, zero) + (eac * ebd).scale(sign)
+            E2[P] = {k: v for k, v in col.items() if not v.is_zero()}
+        return E2[P]
+
+    out = TractorField(metric, t0.weight, t0.slots)
+    for idx, p in t0.comps.items():
+        terms = [((), p)]
+        for s, kind in enumerate(t0.slots):
+            if kind == SlotKind.VEC:
+                terms = [(pre + (idx[s],), v) for pre, v in terms]
+            else:
+                col = E[idx[s]] if kind == SlotKind.STD else form_col(idx[s])
+                terms = [(pre + (A,), v if e is one else v * e)
+                         for pre, v in terms for A, e in col.items()]
+        for j, v in terms:
+            out.add_to(j, v)
     return out

@@ -200,12 +200,12 @@ def test_criterion_10_operator_calculus():
             I = ckt.split(phi, ckt.CKTLabel(1, 0))
             f = TractorField.density(MET3, w, random_poly(n, 4, rng))
             ok = ok and contract(I, double_D(f)) == ckt.lie_derivative(
-                phi, f, adj=I)
+                phi, f)
             fld = TractorField(MET3, w, (SlotKind.VEC,))
             for a in range(n):
                 fld.add_to((a,), random_poly(n, 3, rng))
             ok = ok and contract(I, double_D(fld)) == ckt.lie_derivative(
-                phi, fld, adj=I)
+                phi, fld)
     # fundamental and double constructions agree on parallel contractions
     ok = ok and canon.verify_fund_equals_double(ckvs[4], (1, 0), Q(1),
                                                 max_degree=4)

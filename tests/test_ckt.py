@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -57,6 +58,37 @@ def test_split_is_parallel_and_projects_back():
             assert ckt.extract(I, label) == phi
 
 
+@pytest.mark.parametrize("sig", [(2, 1), (1, 2)])
+def test_split_indefinite(sig):
+    metric = Metric(*sig)
+    for (p, r) in ((2, 0), (1, 1), (0, 2)):
+        label = CKTLabel(p, r)
+        basis = ckt.solve(metric, label)
+        for phi in (basis[0], basis[len(basis) // 2] + basis[-1].scale(-2)):
+            I = ckt.split(phi, label)
+            assert nabla(I).is_zero()
+            assert ckt.extract(I, label) == phi
+
+
+def test_split_rejects_nonsolution():
+    for label, phi in (
+            ((1, 0), SymTensor(MET, 1, {(0,): Poly.var(N, 0) ** 2},
+                               weight=2)),
+            ((0, 1), SymTensor(MET, 0, {(): Poly.var(N, 1) ** 3},
+                               weight=2))):
+        with pytest.raises(ckt.CKTError, match="obstructed"):
+            ckt.split(phi, CKTLabel(*label))
+
+
+def test_split_time_bound():
+    label = CKTLabel(1, 1)
+    phi = solved_basis(3, 1, 1)[40]
+    start = time.perf_counter()
+    I = ckt.split(phi, label)
+    assert time.perf_counter() - start < 1
+    assert ckt.extract(I, label) == phi
+
+
 def test_lie_derivative_matches_transport(rng):
     # I_phi-contraction of the double-D is the Lie derivative on densities
     for w in (Q(2), Q(-1, 2)):
@@ -64,7 +96,7 @@ def test_lie_derivative_matches_transport(rng):
             I = ckt.split(phi, CKTLabel(1, 0))
             f = TractorField.density(MET, w, random_poly(N, 3, rng))
             assert contract(I, double_D(f)) == ckt.lie_derivative(
-                phi, f, adj=I)
+                phi, f)
 
 
 def test_lie_derivative_on_covectors(rng):
@@ -75,7 +107,7 @@ def test_lie_derivative_on_covectors(rng):
             for a in range(N):
                 fld.add_to((a,), random_poly(N, 2, rng))
             assert contract(I, double_D(fld)) == ckt.lie_derivative(
-                phi, fld, adj=I)
+                phi, fld)
 
 
 def test_lie_derivative_rejects_tractor_slots():

@@ -147,3 +147,15 @@ def test_decompose(capsys):
     res = doc["result"]
     assert set(res) == {"pair", "killing", "residual_terms", "dec2can"}
     assert res["dec2can"]["all"] is True
+
+
+def test_failed_check_exits_2_with_one_line(capsys, monkeypatch):
+    # a wrong binomial breaks the reduction chain's closed-form checks
+    binom = cli.canon.binom
+    monkeypatch.setattr(cli.canon, "binom", lambda m, j: binom(m, j) + 1)
+    assert run(["cmatrix", "chain", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: reduction chain k=3, d=0")

@@ -119,7 +119,7 @@ def test_young22_projection_properties():
     _, proj = sp.project_coords(vec)
 
     def comp(a, b, c, d):
-        r = sp.coord_of(a, b, c, d)
+        r = sp.ps.coord_of(a, b, c, d)
         if r is None:
             return Q(0)
         k, s = r

@@ -126,6 +126,27 @@ def test_parallel_extend_constant():
     assert nabla(ext).is_zero()
 
 
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_parallel_extend_mixed_slots(sig):
+    # a random constant fiber on standard, form and covector slots
+    metric = Metric(*sig)
+    n = metric.n
+    rng = random.Random(sum(sig) * 10 + sig[1])
+    slots = (SlotKind.STD, SlotKind.FORM, SlotKind.VEC)
+    t0 = TractorField(metric, Q(1), slots)
+    for A in range(n + 2):
+        for P in range(pair_space(n).npairs()):
+            for a in range(n):
+                if rng.random() < 0.3:
+                    t0.add_to((A, P, a), Poly.const(n, Q(rng.randint(-3, 3),
+                                                         rng.randint(1, 3))))
+    ext = parallel_extend(t0)
+    assert nabla(ext).is_zero()
+    at0 = TractorField(metric, Q(1), slots,
+                       {i: p.constant_value() for i, p in ext.comps.items()})
+    assert at0 == t0
+
+
 def test_contract_density():
     ps = pair_space(N)
     a = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
