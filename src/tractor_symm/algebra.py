@@ -13,14 +13,14 @@ dimension bookkeeping of the full symmetry algebra.
 from itertools import combinations_with_replacement
 
 from .scalars import Q, ZERO, ONE
-from .poly import Poly, monomials_up_to_degree
+from .poly import Poly
 from .tensor import (Metric, SymTensor, trace_free, young22_space)
 from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
-                      double_D, double_D2, fund_D2, tractor_D, x_mult)
+                      fund_D2, tractor_D, x_mult)
 from . import ckt, linalg
 from .ckt import CKTLabel, CKTError, weyl_dim
 from .canon import CanonicalSymmetry
-from .diffop import laplacian_poly
+from .diffop import StdOp
 
 
 class GElement:
@@ -363,10 +363,25 @@ def killing_oracle(phi, phib):
     return val.constant_value()
 
 
+def _composition_defect(products, w, c):
+    """Symbol of S_I S_J - S_{I x J} - S_{I . J} - 1/2 S_{[I,J]} - c <I,J>
+    on weight-w densities: each chain runs once on the plane wave, and
+    S_I S_J runs S_I on the plane-wave output of S_J."""
+    I, J, box, bu, br, kl = products
+    pw = Poly.const(2 * I.metric.n, 1)  # e^{xi.x}
+
+    def S(T, label):
+        return CanonicalSymmetry(T, label, w)
+
+    return (S(I.field, (1, 0))(S(J.field, (1, 0))(pw))
+            - S(box, (2, 0))(pw) - S(bu, (0, 1))(pw)
+            - S(br.field, (1, 0))(pw).scale(Q(1, 2)) - pw.scale(c * kl))
+
+
 def verify_dec2can(phi, phib, w, max_degree=4):
     """Composition of two first-order canonical symmetries.
 
-    Checks, exactly on all monomials up to ``max_degree``:
+    Checks, as an identity of full symbols (``max_degree`` is unused):
       S_phi S_phib f = (I x J) DD f + (I . J) D^2 f + 1/2 [I,J] D f
                        + w(n+w)/(n(n+1)(n+2)) <I,J> f
     and that each summand is the canonical symmetry of the matching
@@ -377,22 +392,9 @@ def verify_dec2can(phi, phib, w, max_degree=4):
     metric = phi.metric
     n = metric.n
     w = Q(w)
-    I, J, box, bu, br, kl = dec2can_products(phi, phib)
-    S1 = CanonicalSymmetry(I.field, (1, 0), w)
-    S2 = CanonicalSymmetry(J.field, (1, 0), w)
-    ok_main = True
-    for e in monomials_up_to_degree(n, max_degree):
-        f = Poly.monomial(n, e)
-        lhs = S1(S2(f))
-        t = TractorField.density(metric, w, f)
-        dt = double_D(t)
-        rhs = (contract(box, double_D(dt)).get(())
-               + contract(bu, double_D2(t)).get(())
-               + contract(br.field, dt).get(()).scale(Q(1, 2))
-               + f.scale(kl * w * (n + w) / (n * (n + 1) * (n + 2))))
-        if lhs != rhs:
-            ok_main = False
-            break
+    _, _, box, bu, br, kl = products = dec2can_products(phi, phib)
+    ok_main = _composition_defect(
+        products, w, w * (n + w) / (n * (n + 1) * (n + 2))).is_zero()
     # summand identification through the splitting of the product sections
     prod2 = SymTensor(metric, 2, weight=4)
     for a in range(n):
@@ -433,25 +435,13 @@ def ideal_relation_check(phi, phib, k, max_degree=4):
     """The quadratic ideal relation on the domain of the k-th power.
 
     S_V1 S_V2 - S_{V1 x V2} - S_{V1 . V2} - 1/2 S_{[V1,V2]}
-    + coeff <V1,V2> vanishes on weight k - n/2 densities.
+    + coeff <V1,V2> vanishes on weight k - n/2 densities, on the full
+    symbol: ``max_degree`` is unused.
     """
-    metric = phi.metric
-    n = metric.n
+    n = phi.metric.n
     w = Q(2 * k - n, 2)
-    coeff = ideal_coefficient(n, k)
-    I, J, box, bu, br, kl = dec2can_products(phi, phib)
-    S1 = CanonicalSymmetry(I.field, (1, 0), w)
-    S2 = CanonicalSymmetry(J.field, (1, 0), w)
-    Sbox = CanonicalSymmetry(box, (2, 0), w)
-    Sbul = CanonicalSymmetry(bu, (0, 1), w)
-    Sbr = CanonicalSymmetry(br.field, (1, 0), w)
-    for e in monomials_up_to_degree(n, max_degree):
-        f = Poly.monomial(n, e)
-        res = (S1(S2(f)) - Sbox(f) - Sbul(f) - Sbr(f).scale(Q(1, 2))
-               + f.scale(coeff * kl))
-        if not res.is_zero():
-            return False
-    return True
+    return _composition_defect(dec2can_products(phi, phib), w,
+                               -ideal_coefficient(n, k)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -485,35 +475,25 @@ def _sym0_two_slots(t):
 
 
 def fund2_equals_xd_check(metric, w, max_degree=3):
-    """Trace-free symmetric parts: D^2_fund = -X_(C D_D)_0 on E[w]."""
-    n = metric.n
-    for e in monomials_up_to_degree(n, max_degree):
-        t = TractorField.density(metric, Q(w), Poly.monomial(n, e))
-        lhs = _sym0_two_slots(fund_D2(t))
-        xd = x_mult(tractor_D(t))
-        rhs = _sym0_two_slots(xd.with_weight(lhs.weight)).scale(-1)
-        if lhs != rhs:
-            return False
-    return True
+    """Trace-free symmetric parts: D^2_fund = -X_(C D_D)_0 on E[w], on
+    the full symbol (one plane-wave run): ``max_degree`` is unused."""
+    t = TractorField.density(metric, Q(w), Poly.const(2 * metric.n, 1))
+    lhs = _sym0_two_slots(fund_D2(t))
+    xd = x_mult(tractor_D(t))
+    return lhs == _sym0_two_slots(xd.with_weight(lhs.weight)).scale(-1)
 
 
 def lemma_extra_check(k, metric, max_degree=3, basis=None):
-    """Scalar-generated canonical symmetries are sigma . Delta^k."""
-    n = metric.n
-    w = Q(2 * k - n, 2)
+    """Scalar-generated canonical symmetries are sigma . Delta^k, as
+    standard forms read off the full symbol: ``max_degree`` is unused."""
+    w = Q(2 * k - metric.n, 2)
     if basis is None:
         basis = ckt.solve(metric, CKTLabel(0, k))
     for sigma in basis:
         I = ckt.split(sigma, CKTLabel(0, k))
         S = CanonicalSymmetry(I, (0, k), w)
-        spoly = sigma.get(())
-        for e in monomials_up_to_degree(n, max_degree):
-            f = Poly.monomial(n, e)
-            lapf = f
-            for i in range(k):
-                lapf = laplacian_poly(lapf, metric)
-            if S(f) != spoly * lapf:
-                return False
+        if S.std_op() != StdOp.from_coeff(sigma, k):
+            return False
     return True
 
 

@@ -17,10 +17,10 @@ import time
 from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
-from .poly import Poly, monomials_up_to_degree
-from .tensor import (Metric, random_tracefree, xi_add, xi_laplacian,
-                     xi_reduce)
-from .diffop import StdOp, OpType, reconstruct, compose_raw, normalize_raw
+from .poly import Poly
+from .tensor import Metric, random_tracefree, xi_laplacian, xi_reduce
+from .diffop import (StdOp, OpType, compose_raw, normalize_raw,
+                     by_xi_degree)
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
                       tractor_D, double_D, double_D2, fund_D, fund_D2,
                       x_mult, contract)
@@ -34,18 +34,20 @@ class CanonicalSymmetry:
 
     def __init__(self, I, label, weight, use_fund=False):
         self.I = I
+        n, pad = I.metric.n, (0,) * I.metric.n  # I in (x, xi), constant in xi
+        self._I_xi = TractorField(I.metric, I.weight, I.slots, {
+            idx: Poly.wrap(2 * n, {e + pad: c for e, c in p.terms.items()})
+            for idx, p in I.comps.items()})
         self.label = CKTLabel(*label)
         self.metric = I.metric
         self.weight = Q(weight)
         self.use_fund = use_fund
         self._std = None
 
-    @property
-    def order(self):
-        return self.label.p + 2 * self.label.r
-
     def apply(self, f):
+        """S f, or for f in (x, xi) the component of S(f e^{xi.x})."""
         p, r = self.label
+        I = self.I if f.nvars == self.metric.n else self._I_xi
         t = TractorField.density(self.metric, self.weight, f)
         sq = fund_D2 if self.use_fund else double_D2
         first = fund_D if self.use_fund else double_D
@@ -53,13 +55,15 @@ class CanonicalSymmetry:
             t = sq(t)
         for _ in range(p):
             t = first(t)
-        return contract(self.I, t).get(())
+        return contract(I, t).comps.get((), Poly.zero(f.nvars))
 
     __call__ = apply
 
     def std_op(self):
+        """Standard form of S, normalized from one run on the plane wave."""
         if self._std is None:
-            self._std = reconstruct(self.apply, self.metric, self.order)
+            wave = Poly.const(2 * self.metric.n, 1)  # e^{xi.x}
+            self._std = normalize_raw(self.apply(wave), self.metric)
         return self._std
 
 
@@ -118,10 +122,8 @@ def verify_symmetry(phi, label, k):
     Sp_std = Sp.std_op()
     # one normalization of the symbol difference sigma(Delta^k S - S' Delta^k)
     lapk = StdOp.laplacian_power(metric, k).to_raw()
-    diff = compose_raw(lapk, S_std.to_raw())
-    for alpha, c in compose_raw(Sp_std.to_raw(), lapk).items():
-        xi_add(diff, alpha, -c)
-    residual = normalize_raw(diff, metric)
+    residual = normalize_raw(compose_raw(lapk, S_std.to_raw())
+                             - compose_raw(Sp_std.to_raw(), lapk), metric)
     return SymmetryReport(k, label, w_in, w_out, residual, S_std, Sp_std,
                           time.time() - t0, trivial=(label.r >= k))
 
@@ -157,55 +159,46 @@ def leading_checks(report, phi):
 
 
 def verify_commute_doubleD(metric, k, p=1, max_degree=4):
-    """Coupled Delta^k commutes with a string of p double-D operators."""
-    n = metric.n
-    w = Q(2 * k - n, 2)
-    for e in monomials_up_to_degree(n, max_degree):
-        f = TractorField.density(metric, w, Poly.monomial(n, e))
-        lhs = f
-        for _ in range(p):
-            lhs = double_D(lhs)
-        lhs = laplacian_power(lhs, k).with_weight(w - 2 * k)
-        rhs = laplacian_power(f, k).with_weight(w - 2 * k)
-        for _ in range(p):
-            rhs = double_D(rhs)
-        if lhs != rhs:
-            return False
-    return True
+    """Coupled Delta^k commutes with a string of p double-D operators,
+    on the full symbol (one plane-wave run): ``max_degree`` is unused."""
+    w = Q(2 * k - metric.n, 2)
+    f = TractorField.density(metric, w, Poly.const(2 * metric.n, 1))
+    lhs = f
+    for _ in range(p):
+        lhs = double_D(lhs)
+    lhs = laplacian_power(lhs, k).with_weight(w - 2 * k)
+    rhs = laplacian_power(f, k).with_weight(w - 2 * k)
+    for _ in range(p):
+        rhs = double_D(rhs)
+    return lhs == rhs
 
 
 def verify_fund_equals_double(phi, label, weight, max_degree=4):
-    """The double-D and fundamental-derivative forms of S agree."""
+    """The double-D and fundamental-derivative forms of S agree, on the
+    full symbol (one plane-wave run): ``max_degree`` is unused."""
     label = CKTLabel(*label)
-    metric = phi.metric
     I = ckt.split(phi, label)
     S1 = build_S(I, label, weight, use_fund=False, check_parallel=False)
     S2 = build_S(I, label, weight, use_fund=True, check_parallel=False)
-    for e in monomials_up_to_degree(metric.n, max_degree):
-        m = Poly.monomial(metric.n, e)
-        if S1(m) != S2(m):
-            return False
-    return True
+    wave = Poly.const(2 * phi.metric.n, 1)  # e^{xi.x}
+    return S1(wave) == S2(wave)
 
 
 def gjms_factorization_check(metric, k, max_degree=4):
-    """(-1)^k X..X Delta^k = D..D on weight k - n/2 densities."""
-    n = metric.n
-    w = Q(2 * k - n, 2)
-    for e in monomials_up_to_degree(n, max_degree):
-        f = TractorField.density(metric, w, Poly.monomial(n, e))
-        lhs = f
-        for _ in range(k):
-            lhs = laplacian(lhs).with_weight(lhs.weight - 2)
-        for _ in range(k):
-            lhs = x_mult(lhs)
-        lhs = lhs.scale(Q(-1) ** k)
-        rhs = f
-        for _ in range(k):
-            rhs = tractor_D(rhs)
-        if lhs != rhs:
-            return False
-    return True
+    """(-1)^k X..X Delta^k = D..D on weight k - n/2 densities, on the
+    full symbol (one plane-wave run): ``max_degree`` is unused."""
+    w = Q(2 * k - metric.n, 2)
+    f = TractorField.density(metric, w, Poly.const(2 * metric.n, 1))
+    lhs = f
+    for _ in range(k):
+        lhs = laplacian(lhs).with_weight(lhs.weight - 2)
+    for _ in range(k):
+        lhs = x_mult(lhs)
+    lhs = lhs.scale(Q(-1) ** k)
+    rhs = f
+    for _ in range(k):
+        rhs = tractor_D(rhs)
+    return lhs == rhs
 
 
 # ----------------------------------------------------------------------
@@ -347,12 +340,14 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
         rank = p + q2
         rdeg = r - q2
         phi = random_tracefree(metric, rank, 2 * r + 2, rng)
-        raw = compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw())
+        by_order = None  # release the previous symbol before composing
+        by_order = by_xi_degree(
+            compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw()), n)
         for q in range(r + 1):
             R = k - q - 1
             s = r + q - q2 + 1
             o = p + r + 2 * k - q - 1
-            part = {a: c for a, c in raw.items() if sum(a) == o}
+            part = Poly.wrap(2 * n, by_order.get(o, {}))
             for _ in range(R):
                 part = xi_laplacian(part, metric)
             lhs = xi_reduce(part, metric)
@@ -365,16 +360,9 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
                 probe = xi_laplacian(probe, metric)
             probe = xi_reduce(probe, metric)
             # lhs must be an exact scalar multiple of the probe
-            a = ZERO
-            for e, c in probe.items():
-                for mono, cc in c.terms.items():
-                    a = lhs.get(e, Poly.zero(n)).coeff(mono) / cc
-                    break
-                break
-            scaled = {}
-            for e, c in probe.items():
-                xi_add(scaled, e, c.scale(a))
-            if lhs != scaled:
+            a = next((lhs.coeff(e) / c for e, c in probe.terms.items()),
+                     ZERO)
+            if lhs != probe.scale(a):
                 raise CKTError("constraint coefficient is not scalar")
             want = c_scalar(r + q - q2 + 1, k)
             if a != want:

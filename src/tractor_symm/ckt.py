@@ -20,12 +20,13 @@ connection.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from .scalars import Q, ZERO, ONE
 from .poly import Poly, monomials_of_degree
-from .tensor import (SymTensor, multisets, nord, exponent, multiset,
+from .tensor import (Metric, SymTensor, multisets, nord, exponent, multiset,
                      trace_free, sym_part, symbol, from_symbol, xi_dx)
 from .tractor import (TractorField, SlotKind, pair_space, hmat,
                       parallel_extend, nabla)
@@ -319,44 +320,30 @@ def _cartan_constraint_rows(metric, label, expanded_cols):
     def addrow(key, col, v):
         rows.setdefault(key, {})[col] = rows.setdefault(key, {}).get(col, ZERO) + v
 
-    same_pair = {}
-    for s in range(p):
-        same_pair[(2 * s, 2 * s + 1)] = True
+    same_pair = {(2 * s, 2 * s + 1) for s in range(p)}
     for col, ex in enumerate(expanded_cols):
         for idx, val in ex.items():
             # traces
             for (u, v) in combinations(range(nm), 2):
-                if same_pair.get((u, v)):
+                if (u, v) in same_pair:
                     continue
                 hv = h[idx[u]][idx[v]]
                 if not hv:
                     continue
                 rest = tuple(x for i, x in enumerate(idx) if i not in (u, v))
                 addrow(("tr", u, v, rest), col, hv * val)
-            # three-member skews
+            # three-member skews: only distinct members survive, with
+            # the sign of the permutation that sorts them
             for (u, v, w) in combinations(range(nm), 3):
-                vals = (idx[u], idx[v], idx[w])
-                key_vals = tuple(sorted(vals))
+                a, b, c = idx[u], idx[v], idx[w]
+                if len({a, b, c}) < 3:
+                    continue
+                sgn = (-1) ** ((a > b) + (a > c) + (b > c))
                 rest = tuple(x for i, x in enumerate(idx)
                              if i not in (u, v, w))
-                coeff = ZERO
-                for perm in permutations(range(3)):
-                    if tuple(key_vals[j] for j in perm) == vals:
-                        sgn = _perm_sign(perm)
-                        coeff += sgn
-                if coeff:
-                    addrow(("skew", u, v, w, key_vals, rest), col, coeff * val)
+                addrow(("skew", u, v, w, tuple(sorted((a, b, c))), rest),
+                       col, sgn * val)
     return [row for row in rows.values() if any(row.values())]
-
-
-def _perm_sign(perm):
-    s = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
 
 
 def extract(t, label):
@@ -409,6 +396,27 @@ def _extract_dense(t, label):
     return dense
 
 
+@lru_cache(maxsize=None)
+def _split_plan(sig, label):
+    """The phi-independent part of a split: the reduced coordinates'
+    expanded fibers, the Cartan rows and the extraction rows, keyed by
+    (index tuple, monomial).  linalg.solve copies rows; nothing mutates
+    them."""
+    metric = Metric(*sig)
+    slots = _shape_slots(label)
+    red = _reduced_fiber(metric, label)
+    expanded_cols = [_expand_reduced(metric, label, c) for c in red]
+    members_cols = [_expanded_members(metric, label, e) for e in expanded_cols]
+    crows = _cartan_constraint_rows(metric, label, members_cols)
+    ext = {}
+    for j, ex in enumerate(expanded_cols):
+        ti = parallel_extend(TractorField(metric, 0, slots, ex))
+        for aa, v in _extract_dense(ti, label).items():
+            for e, c in v.terms.items():
+                ext.setdefault((aa, e), {})[j] = c
+    return expanded_cols, crows, ext
+
+
 def split(phi, label):
     """Splitting operator: the parallel tractor extending ``phi``.
 
@@ -422,21 +430,10 @@ def split(phi, label):
     metric = phi.metric
     n = metric.n
     assert phi.rank == p
-    slots = _shape_slots(label)
-    red = _reduced_fiber(metric, label)
-    expanded_cols = [_expand_reduced(metric, label, c) for c in red]
-    members_cols = [_expanded_members(metric, label, e) for e in expanded_cols]
-    crows = _cartan_constraint_rows(metric, label, members_cols)
-
+    expanded_cols, crows, ext = _split_plan(metric.key(), label)
     # extraction equations, per ordered index tuple and monomial: the
-    # projecting part of each reduced coordinate's parallel extension
-    # must sum to phi (raised, to compare upper parts)
-    ext = {}
-    for j, ex in enumerate(expanded_cols):
-        ti = parallel_extend(TractorField(metric, 0, slots, ex))
-        for aa, v in _extract_dense(ti, label).items():
-            for e, c in v.terms.items():
-                ext.setdefault((aa, e), {})[j] = c
+    # projecting part of the extension must sum to phi (raised, to
+    # compare upper parts)
     target = {}
     for aa in product_tuples(n, p):
         eps = ONE
@@ -448,14 +445,14 @@ def split(phi, label):
     rows = crows + [ext.get(k, {}) for k in keys]
     rhs = [ZERO] * len(crows) + [target.get(k, ZERO) for k in keys]
     try:
-        cvec = linalg.solve(rows, rhs, len(red))
+        cvec = linalg.solve(rows, rhs, len(expanded_cols))
     except linalg.InconsistentSystem:
         raise CKTError(
             f"tensor is not a solution for label {label}: the parallel "
             "extension problem is obstructed")
     except linalg.LinAlgError:
         raise CKTError(f"splitting for label {label} is not determined")
-    t0 = TractorField(metric, 0, slots)
+    t0 = TractorField(metric, 0, _shape_slots(label))
     for c, ex in zip(cvec, expanded_cols):
         if c:
             for idx, v in ex.items():

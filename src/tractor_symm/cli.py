@@ -388,7 +388,8 @@ def _add_common(p):
     p.add_argument("--d", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--index", type=int)
-    p.add_argument("--max-degree", type=int, dest="max_degree")
+    p.add_argument("--max-degree", type=int, dest="max_degree",
+                   help="unused: the checks compare full symbols")
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--all-basis", action="store_true", dest="all_basis")

@@ -6,20 +6,22 @@ An operator is kept as a sum of terms
 
 with phi symmetric trace-free.  The type of a term is <p|r>, its order
 p + 2r and its level p + r; types are compared by (level, order).
-The raw form sum_alpha c_alpha(x) d^alpha is kept as its covector symbol
-(``tensor``): a dict alpha -> c_alpha.  Operators compose by the symbol
-product a#b (``compose_raw``) and act by sum_alpha c_alpha d^alpha f
+The raw form sum_alpha c_alpha(x) d^alpha is kept as its full symbol
+sum_alpha c_alpha(x) xi^alpha, one Poly in the 2n variables (x, xi)
+(``tensor``): the operator sends the plane wave e^{xi.x} to its symbol
+times e^{xi.x}.  Operators compose by the symbol product a#b
+(``compose_raw``) and act by sum_alpha c_alpha d^alpha f
 (``apply_raw``).  Normalization converts an arbitrary
-polynomial-coefficient derivative expression into standard form by
-decomposing the symbol at each total order into trace parts.
+polynomial-coefficient symbol into standard form by decomposing it at
+each total order in xi into trace parts.
 """
 
-from math import factorial
+from operator import add
 
 from .scalars import Q, qstr, qparse
-from .poly import Poly, monomials_up_to_degree
+from .poly import Poly
 from .tensor import (SymTensor, decompose_traces, symbol, from_symbol,
-                     xi_add, xi_raise, xi_quadric)
+                     xi_raise, xi_quadric)
 
 
 class OpType(tuple):
@@ -104,7 +106,8 @@ class StdOp:
         return max(live, key=OpType.sort_key)
 
     def __add__(self, other):
-        assert self.metric == other.metric
+        if self.metric != other.metric:
+            raise ValueError(f"operators on {self.metric} and {other.metric}")
         out = StdOp(self.metric)
         out.terms = dict(self.terms)
         for t, c in other.terms.items():
@@ -135,9 +138,6 @@ class StdOp:
         types = set(self.terms) | set(other.terms)
         return all(self.coeff(*t) == other.coeff(*t) for t in types)
 
-    def max_order(self):
-        return max((t.order for t in self.terms), default=0)
-
     # -- action on polynomials ---------------------------------------
 
     def apply(self, f):
@@ -148,24 +148,24 @@ class StdOp:
     # -- raw form and composition -------------------------------------
 
     def to_raw(self):
-        """Expand into a dict multi-index alpha -> Poly coefficient.
+        """The symbol sum_alpha c_alpha(x) xi^alpha, a Poly in (x, xi).
 
-        This is the symbol: phi nabla^p Delta^r has symbol Q^r sigma(phi)
-        with the indices of phi raised.
+        phi nabla^p Delta^r has symbol Q^r sigma(phi) with the indices of
+        phi raised.
         """
         metric = self.metric
-        raw = {}
+        raw = Poly.zero(2 * metric.n)
         for t, coeff in self.terms.items():
             sym = xi_raise(symbol(coeff), metric)
             for _ in range(t.r):
                 sym = xi_quadric(sym, metric)
-            for alpha, c in sym.items():
-                xi_add(raw, alpha, c)
+            raw = raw + sym
         return raw
 
     def compose(self, other):
         """self after other, renormalized to standard form."""
-        assert self.metric == other.metric
+        if self.metric != other.metric:
+            raise ValueError(f"operators on {self.metric} and {other.metric}")
         raw = compose_raw(self.to_raw(), other.to_raw())
         return normalize_raw(raw, self.metric)
 
@@ -211,106 +211,89 @@ class StdOp:
 
 
 def compose_raw(a, b):
-    """Symbol of the composition a after b of two raw forms.
+    """Symbol of the composition a after b of two symbols.
 
     a#b = sum_gamma (d_xi^gamma a)(d_x^gamma b) / gamma!.  gamma is
     walked depth-first, raising only indices >= the last one raised, so
     every multi-index is reached once, from its parent by one derivative
-    per coefficient: d_xi of (d_xi^gamma a) / gamma!, which carries the
+    of each side: d_xi of (d_xi^gamma a) / gamma!, which carries the
     factorial, and d_x of d_x^gamma b.  A branch ends where either side
-    vanishes, so S after Delta^k stops at gamma = 0.
+    vanishes, so S after Delta^k stops at gamma = 0.  Products are summed
+    in place into one term dict.
     """
+    if a.nvars != b.nvars:
+        raise ValueError(f"symbols in {a.nvars} and {b.nvars} variables")
+    n = a.nvars // 2
     out = {}
-    n = len(next(iter(a), ()))
 
     def walk(da, db, last, g):
         # da = d_xi^gamma a / gamma!, db = d_x^gamma b; g = gamma[last]
-        for alpha, c in da.items():
-            for beta, d in db.items():
-                xi_add(out, tuple(x + y for x, y in zip(alpha, beta)), c * d)
+        for e1, c1 in da.terms.items():
+            for e2, c2 in db.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
+                    continue
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
         for i in range(last, n):
             m = g + 1 if i == last else 1
-            db2 = {}
-            for beta, d in db.items():
-                d = d.diff(i)
-                if not d.is_zero():
-                    db2[beta] = d
-            if not db2:
+            db2 = db.diff(i)
+            if db2.is_zero():
                 continue
-            da2 = {alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]:
-                   c.scale(Q(alpha[i], m))
-                   for alpha, c in da.items() if alpha[i]}
-            if da2:
-                walk(da2, db2, i, m)
+            da2 = da.diff(n + i)
+            if da2.is_zero():
+                continue
+            walk(da2 if m == 1 else da2.scale(Q(1, m)), db2, i, m)
 
-    if a and b:
-        walk(a, b, 0, 0)
-    return out
+    walk(a, b, 0, 0)
+    del walk  # its cell refers to walk: without this, out lives until gc
+    return Poly.wrap(a.nvars, out)
 
 
 def apply_raw(raw, f):
-    """The action sum_alpha c_alpha d^alpha f of a raw form on a Poly."""
-    out = Poly.zero(f.nvars)
-    for alpha, c in raw.items():
+    """The action sum_alpha c_alpha d^alpha f of a symbol on a Poly; each
+    d^alpha f is taken once."""
+    n = f.nvars
+    if raw.nvars != 2 * n:
+        raise ValueError(f"symbol in {raw.nvars} variables on a Poly in {n}")
+    by_alpha = {}
+    for e, c in raw.terms.items():
+        by_alpha.setdefault(e[n:], {})[e[:n]] = c
+    out = Poly.zero(n)
+    for alpha, terms in by_alpha.items():
         df = f.diff_multi(alpha)
         if not df.is_zero():
-            out = out + c * df
+            out = out + Poly.wrap(n, terms) * df
     return out
 
 
-def laplacian_poly(f, metric):
-    out = Poly.zero(metric.n)
-    for i in range(metric.n):
-        out = out + f.diff(i).diff(i).scale(metric.eps[i])
+def by_xi_degree(raw, n):
+    """The term dicts of a symbol's parts, keyed by their degree in xi."""
+    out = {}
+    for e, c in raw.terms.items():
+        out.setdefault(sum(e[n:]), {})[e] = c
     return out
 
 
 def normalize_raw(raw, metric):
-    """Convert a raw derivative expression to standard form.
+    """Convert a symbol to standard form.
 
-    ``raw`` maps multi-indices to Poly coefficients, representing
-    sum_alpha c_alpha(x) d^alpha.  Orders do not mix: the order-o part of
-    the symbol is decomposed into trace parts, each trace producing one
-    Laplacian.
+    ``raw`` is the Poly sum_alpha c_alpha(x) xi^alpha in (x, xi).  Orders
+    do not mix: the part of xi-degree o is decomposed into trace parts,
+    each trace producing one Laplacian.
     """
-    by_order = {}
-    for alpha, c in raw.items():
-        if c.is_zero():
-            continue
-        by_order.setdefault(sum(alpha), {})[alpha] = c
     op = StdOp(metric)
-    for o, part in sorted(by_order.items()):
+    for o, part in sorted(by_xi_degree(raw, metric.n).items()):
         # the order-o symbol, lowered, is sigma of a rank-o tensor
-        parts = decompose_traces(
-            from_symbol(xi_raise(part, metric), metric, o))
+        parts = decompose_traces(from_symbol(
+            xi_raise(Poly.wrap(raw.nvars, part), metric), metric, o))
         for q, u in enumerate(parts):
             # <o-2q|q> has order o: no two parts share a type
             if not u.is_zero():
                 op.terms[OpType(o - 2 * q, q)] = u
     return op
-
-
-def reconstruct(action, metric, max_order, nvars=None):
-    """Recover the StdOp of an operator given only its action on polynomials.
-
-    ``action`` maps Poly -> Poly and must be a differential operator of
-    order at most ``max_order`` with polynomial coefficients.  The raw
-    coefficients are solved degree by degree from the action on
-    monomials; two extra degrees are checked to detect an order
-    violation (raises ValueError).
-    """
-    n = nvars if nvars is not None else metric.n
-    raw = {}
-    for beta in monomials_up_to_degree(n, max_order + 2):
-        xb = Poly.monomial(n, beta)
-        rem = action(xb) - apply_raw(raw, xb)
-        if rem.is_zero():
-            continue
-        if sum(beta) > max_order:
-            raise ValueError(
-                "action is not an order-%d operator" % max_order)
-        fb = 1
-        for bi in beta:
-            fb *= factorial(bi)
-        raw[beta] = rem.scale(Q(1, fb))
-    return normalize_raw(raw, metric)

@@ -43,6 +43,13 @@ class Poly:
         return p
 
     @classmethod
+    def wrap(cls, nvars, terms):
+        """The Poly with term dict ``terms`` (nonzero values), not copied."""
+        p = cls(nvars)
+        p.terms = terms
+        return p
+
+    @classmethod
     def var(cls, nvars, i):
         """The coordinate function x_{i+1}."""
         e = [0] * nvars
@@ -66,9 +73,14 @@ class Poly:
 
     # -- arithmetic -----------------------------------------------------
 
+    def _check(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError(f"Polys in {self.nvars}, {other.nvars} variables")
+
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
+        self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, ZERO) + c
@@ -98,6 +110,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
+        self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -3,9 +3,9 @@
 Tensors live over a flat diagonal metric of signature (s, s').  Symmetric
 tensors are stored on sorted index multisets.  A rank-p symmetric tensor
 S is also the degree-p polynomial sigma(S) = S(xi, .., xi) in covector
-variables xi: a *symbol*, stored as a dict mapping exponent tuples of xi
-to Poly coefficients in the base variables.  The raw form of a
-differential operator (``diffop``) is the same dict.  Under sigma the
+variables xi: a *symbol*, stored as one Poly in the 2n variables
+(x_1..x_n, xi_1..xi_n), x first.  The symbol sum_alpha c_alpha(x) xi^alpha
+of a differential operator (``diffop``) is the same Poly.  Under sigma the
 trace is the xi-Laplacian Delta_xi = sum eps_a d^2/dxi_a^2 (up to the
 factor p(p-1)), g . U is multiplication by the quadric Q = sum eps_a
 xi_a^2, and the symmetrized gradient is xi . d_x.  The trace
@@ -227,86 +227,106 @@ def g_odot(t, metric=None):
 
 
 # ----------------------------------------------------------------------
-# covector symbols: dicts exponent tuple -> Poly, zero terms dropped
+# covector symbols: Polys in (x, xi), 2n variables, x first
 # ----------------------------------------------------------------------
 
-def xi_add(P, e, c):
-    """Add c to the coefficient of xi^e in the symbol P, in place."""
-    cur = P.get(e)
-    s = c if cur is None else cur + c
-    if s.is_zero():
-        P.pop(e, None)
-    else:
-        P[e] = s
-
-
 def symbol(t):
-    """sigma(S) = sum_m nord(m) S_m xi^m, the polynomial S(xi, .., xi)."""
+    """sigma(S) = sum_m nord(m) S_m(x) xi^m, the polynomial S(xi, .., xi)."""
     n = t.metric.n
-    return {exponent(m, n): p.scale(nord(m)) for m, p in t.comps.items()}
+    out = {}
+    for m, p in t.comps.items():
+        em, k = exponent(m, n), nord(m)
+        for e, c in p.terms.items():
+            out[e + em] = c * k if k > 1 else c
+    return Poly.wrap(2 * n, out)
 
 
 def from_symbol(P, metric, rank, weight=0):
     """Inverse of symbol(): the rank-``rank`` tensor whose symbol is P."""
+    n = metric.n
+    by_xi = {}
+    for e, c in P.terms.items():
+        by_xi.setdefault(e[n:], {})[e[:n]] = c
     out = SymTensor(metric, rank, weight=weight)
-    for e, c in P.items():
-        m = multiset(e)
-        out.add_to(m, c.scale(Q(1, nord(m))))
+    for ex, terms in by_xi.items():
+        m = multiset(ex)
+        p, k = Poly.wrap(n, terms), nord(m)
+        out.comps[m] = p.scale(Q(1, k)) if k > 1 else p
     return out
 
 
 def xi_raise(P, metric):
     """Raise (equivalently lower) every index: xi^e gets prod eps_a^e_a."""
-    s = metric.s
-    return {e: (c.scale(-1) if sum(e[s:]) % 2 else c) for e, c in P.items()}
+    lo = metric.n + metric.s
+    return Poly.wrap(P.nvars, {e: (-c if sum(e[lo:]) % 2 else c)
+                               for e, c in P.terms.items()})
+
+
+def _moved(e, i, d):
+    """The exponent tuple e with entry i moved by d."""
+    return e[:i] + (e[i] + d,) + e[i + 1:]
+
+
+def _xi_map(P, n, images):
+    """The linear map sending x^b xi^e to sum_{(f, k) in images(e)}
+    k x^b xi^f, for integers k; images runs once per xi-exponent."""
+    table = {}
+    out = {}
+    for e, c in P.terms.items():
+        ex, bx = e[n:], e[:n]
+        if ex not in table:
+            table[ex] = images(ex)
+        for f, k in table[ex]:
+            key = bx + f
+            v = c if k == 1 else (-c if k == -1 else c * k)
+            s = out.get(key)
+            if s is None:
+                out[key] = v
+            else:
+                s += v
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return Poly.wrap(P.nvars, out)
 
 
 def xi_laplacian(P, metric):
     """Delta_xi P = sum_a eps_a d^2 P / dxi_a^2."""
-    out = {}
-    for e, c in P.items():
-        for a, k in enumerate(e):
-            if k >= 2:
-                xi_add(out, e[:a] + (k - 2,) + e[a + 1:],
-                       c.scale(metric.eps[a] * k * (k - 1)))
-    return out
+    return _xi_map(P, metric.n, lambda ex: [
+        (_moved(ex, a, -2), int(metric.eps[a]) * k * (k - 1))
+        for a, k in enumerate(ex) if k >= 2])
 
 
 def xi_quadric(P, metric):
     """Q P with the quadric Q = sum_a eps_a xi_a^2."""
-    out = {}
-    for e, c in P.items():
-        for a, k in enumerate(e):
-            xi_add(out, e[:a] + (k + 2,) + e[a + 1:], c.scale(metric.eps[a]))
-    return out
+    return _xi_map(P, metric.n, lambda ex: [
+        (_moved(ex, a, 2), int(metric.eps[a])) for a in range(len(ex))])
 
 
 def xi_reduce(P, metric):
-    """P modulo the quadric Q: no term keeps an exponent >= 2 in xi_0."""
-    out = {}
-    work = list(P.items())
-    while work:
-        e, c = work.pop()
-        if e[0] >= 2:
-            for a in range(1, metric.n):
-                e2 = list(e)
-                e2[0] -= 2
-                e2[a] += 2
-                work.append((tuple(e2),
-                             c.scale(-metric.eps[0] * metric.eps[a])))
-        else:
-            xi_add(out, e, c)
-    return out
+    """P modulo the quadric Q: xi_0^2 is rewritten as
+    -eps_0 sum_{a>0} eps_a xi_a^2 until no exponent of xi_0 is >= 2."""
+    eps = [int(e) for e in metric.eps]
+
+    def images(ex):
+        if ex[0] < 2:
+            return [(ex, 1)]
+        out = {}
+        for a in range(1, len(ex)):
+            for f, k in images(_moved(_moved(ex, 0, -2), a, 2)):
+                out[f] = out.get(f, 0) - eps[0] * eps[a] * k
+        return [(f, k) for f, k in out.items() if k]
+
+    return _xi_map(P, metric.n, images)
 
 
 def xi_dx(P, n):
     """(xi . d_x) P = sum_a xi_a dP/dx_a."""
-    out = {}
-    for e, c in P.items():
-        for a in range(n):
-            dc = c.diff(a)
-            if not dc.is_zero():
-                xi_add(out, e[:a] + (e[a] + 1,) + e[a + 1:], dc)
+    out = Poly.zero(P.nvars)
+    for a in range(n):
+        out = out + Poly.wrap(P.nvars, {
+            _moved(e, n + a, 1): c for e, c in P.diff(a).terms.items()})
     return out
 
 
@@ -349,11 +369,9 @@ def _laplacian_chain(t):
 
 def _harmonic(chain, coeffs, metric):
     """sum_j coeffs[j] Q^j chain[j], by Horner's rule in Q."""
-    acc = {}
+    acc = Poly.zero(chain[0].nvars)
     for c, P in zip(reversed(coeffs), reversed(chain[:len(coeffs)])):
-        acc = xi_quadric(acc, metric)
-        for e, v in P.items():
-            xi_add(acc, e, v.scale(c))
+        acc = xi_quadric(acc, metric) + P.scale(c)
     return acc
 
 

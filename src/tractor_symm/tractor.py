@@ -13,8 +13,11 @@ Fields may carry several slots:
     'F' - skew pair of tractor indices (stored on ordered pairs A < B),
     'V' - a base covector index (dimension n, stored lower).
 
-Components are exact polynomials in the coordinates.  All the operators
-below (tractor-D, the double-D and its square, the fundamental
+Components are exact polynomials in the coordinates, or in (x, xi): such
+a component p stands for p e^{xi.x}, and ``nabla``, through which every
+operator below differentiates, takes d_a as d_a + xi_a on it.  So an
+operator run on the plane wave e^{xi.x} gives its full symbol.  All the
+operators below (tractor-D, the double-D and its square, the fundamental
 derivative and the curved Casimir) are exact and reduce weights/slots
 exactly as the defining formulas dictate.
 """
@@ -68,7 +71,8 @@ class TractorField:
         self.slots = tuple(slots)
         self.comps = {}
         if comps:
-            n = metric.n
+            n = next((p.nvars for p in comps.values()
+                      if isinstance(p, Poly)), metric.n)
             for idx, p in comps.items():
                 if not isinstance(p, Poly):
                     p = Poly.const(n, p)
@@ -86,8 +90,12 @@ class TractorField:
     def nvec(self):
         return sum(1 for s in self.slots if s == SlotKind.VEC)
 
+    def nvars(self):
+        """Variables of the components: n, or 2n on a plane wave."""
+        return next((p.nvars for p in self.comps.values()), self.metric.n)
+
     def get(self, idx):
-        return self.comps.get(tuple(idx), Poly.zero(self.metric.n))
+        return self.comps.get(tuple(idx), Poly.zero(self.nvars()))
 
     def add_to(self, idx, p):
         idx = tuple(idx)
@@ -102,7 +110,9 @@ class TractorField:
         return all(p.is_zero() for p in self.comps.values())
 
     def __add__(self, other):
-        assert self.slots == other.slots and self.weight == other.weight
+        if (self.slots, self.weight) != (other.slots, other.weight):
+            raise ValueError(f"adding {self.slots} of weight {self.weight} "
+                             f"to {other.slots} of weight {other.weight}")
         out = TractorField(self.metric, self.weight, self.slots)
         out.comps = dict(self.comps)
         for idx, p in other.comps.items():
@@ -139,13 +149,13 @@ class TractorField:
         ps = pair_space(self.metric.n)
         r = ps.sign_index(*members)
         if r is None:
-            return Poly.zero(self.metric.n)
+            return Poly.zero(self.nvars())
         p, s = r
         idx = list(idx)
         idx[slot] = p
         v = self.comps.get(tuple(idx))
         if v is None:
-            return Poly.zero(self.metric.n)
+            return Poly.zero(self.nvars())
         return v if s == 1 else v.scale(-1)
 
     def form_add(self, slot, members, idx, p):
@@ -175,15 +185,17 @@ def _gamma_entries(metric, a):
 
 
 def nabla(t):
-    """Coupled flat tractor connection; prepends one 'V' slot."""
+    """Coupled flat tractor connection; prepends one 'V' slot.  On a
+    plane-wave component p e^{xi.x}, d_a acts as d_a + xi_a."""
     metric = t.metric
     n = metric.n
     ps = pair_space(n)
     out = TractorField(metric, t.weight, (SlotKind.VEC,) + t.slots)
     for a in range(n):
         gam = _gamma_entries(metric, a)
+        xi = Poly.var(2 * n, n + a)
         for idx, p in t.comps.items():
-            dp = p.diff(a)
+            dp = p.diff(a) if p.nvars == n else p.diff(a) + p * xi
             if not dp.is_zero():
                 out.add_to((a,) + idx, dp)
             for s, kind in enumerate(t.slots):
@@ -424,9 +436,9 @@ def contract(t1, t2):
     covector slots through the inverse base metric.
     """
     metric = t1.metric
-    n = metric.n
     k = len(t1.slots)
-    assert t2.slots[:k] == t1.slots
+    if t2.slots[:k] != t1.slots:
+        raise ValueError(f"contracting {t1.slots} against {t2.slots}")
     h = hmat(metric)
     W = _pair_W(metric.key())
     out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:])

@@ -110,6 +110,17 @@ def test_lemma_extra_k1():
     assert algebra.lemma_extra_check(1, MET, max_degree=3)
 
 
+def test_lemma_extra_rejects_doubled_operator(monkeypatch):
+    # S built on 2I is 2 sigma Delta^2; Delta^2 kills every cubic, so a
+    # check on monomials of degree <= 3 cannot tell it from sigma Delta^2
+    split = ckt.split
+    monkeypatch.setattr(ckt, "split",
+                        lambda phi, label: split(phi, label).scale(2))
+    sigma = solved_basis(3, 0, 2)[7]
+    assert not algebra.lemma_extra_check(2, MET, max_degree=3,
+                                         basis=[sigma])
+
+
 def test_graded_dims():
     assert algebra.graded_dim(1, 1, 3) == 10
     assert algebra.graded_dim(1, 2, 3) == 35

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tractor_symm.scalars import Q
-from tractor_symm.poly import Poly
+from tractor_symm.poly import Poly, monomials_up_to_degree
 from tractor_symm.tensor import Metric, SymTensor
 from tractor_symm.diffop import StdOp
 from tractor_symm import ckt, canon
@@ -35,6 +35,23 @@ def test_dilation_symmetry(named_ckvs):
         want = sum((f.diff(a) * Poly.var(N, a) for a in range(N)),
                    Poly.zero(N)) + f.scale(-w)
         assert S(f) == want
+
+
+@pytest.mark.parametrize("sig,label", [
+    ((3, 0), (1, 0)), ((3, 0), (0, 1)), ((3, 0), (2, 0)), ((3, 0), (1, 1)),
+    ((2, 1), (1, 1)), ((4, 0), (2, 0))])
+def test_std_op_matches_action(sig, label):
+    # the symbol from one plane-wave run acts as the chain does on every
+    # monomial of degree <= order + 2: complete for operators of order
+    # <= order + 2
+    metric = Metric(*sig)
+    basis = ckt.solve(metric, ckt.CKTLabel(*label))
+    phi = basis[0] + basis[len(basis) // 2].scale(2) - basis[-1]
+    S = canon.build_S(ckt.split(phi, ckt.CKTLabel(*label)), label, Q(-1, 2))
+    op = S.std_op()
+    for e in monomials_up_to_degree(metric.n, label[0] + 2 * label[1] + 2):
+        f = Poly.monomial(metric.n, e)
+        assert op(f) == S(f)
 
 
 def test_verify_symmetry_k1(named_ckvs):

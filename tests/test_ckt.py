@@ -80,9 +80,24 @@ def test_split_rejects_nonsolution():
             ckt.split(phi, CKTLabel(*label))
 
 
+def test_split_plan_cached():
+    # the phi-independent rows are built once per (signature, label)
+    label = CKTLabel(2, 0)
+    ckt._split_plan.cache_clear()
+    basis = solved_basis(3, 2, 0)
+    for phi in (basis[3], basis[10] + basis[-1].scale(3)):
+        I = ckt.split(phi, label)
+        assert nabla(I).is_zero()
+        assert ckt.extract(I, label) == phi
+    info = ckt._split_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_split_time_bound():
+    # a cold split: the per-label plan is built inside the bound
     label = CKTLabel(1, 1)
     phi = solved_basis(3, 1, 1)[40]
+    ckt._split_plan.cache_clear()
     start = time.perf_counter()
     I = ckt.split(phi, label)
     assert time.perf_counter() - start < 1

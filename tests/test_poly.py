@@ -1,5 +1,7 @@
+import operator
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q, qstr, qparse, binom
@@ -32,6 +34,13 @@ def test_diff_multi():
     n = 2
     p = Poly.monomial(n, (3, 2))
     assert p.diff_multi((2, 1)) == Poly.monomial(n, (1, 1), 12)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_mixed_nvars_rejected(op):
+    # an x-polynomial against an (x, xi)-polynomial has no meaning
+    with pytest.raises(ValueError):
+        op(Poly.var(3, 0), Poly.var(6, 4))
 
 
 def test_monomial_counts():

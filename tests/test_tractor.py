@@ -155,3 +155,18 @@ def test_contract_density():
     from tractor_symm.tractor import _pair_W
     Wm = _pair_W(MET.key())
     assert v == Poly.const(N, Wm[0][0])
+
+
+def test_add_rejects_other_slots_or_weight():
+    a = TractorField(MET, Q(0), (SlotKind.STD,), {(0,): 1})
+    for b in (TractorField(MET, Q(0), (SlotKind.VEC,), {(0,): 1}),
+              TractorField(MET, Q(1), (SlotKind.STD,), {(0,): 1})):
+        with pytest.raises(ValueError):
+            a + b
+
+
+def test_contract_rejects_slot_mismatch():
+    a = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
+    b = TractorField(MET, Q(0), (SlotKind.STD,), {(0,): 1})
+    with pytest.raises(ValueError):
+        contract(a, b)
