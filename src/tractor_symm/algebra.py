@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement
 
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
-from .tensor import (Metric, SymTensor, trace_free, young22_space)
+from .tensor import (Metric, SymTensor, trace_free, kulkarni_nomizu,
+                     ricci, weyl_part)
 from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
                       fund_D2, tractor_D, x_mult)
 from . import ckt, linalg
@@ -141,87 +142,27 @@ def bullet(I, J):
     return out
 
 
+def _outer_matrix(I, J):
+    """Pair matrix T[i][j] = I_i J_j of the outer product."""
+    If = _as_field(I)
+    Jf = _as_field(J)
+    P = pair_space(If.metric.n).npairs()
+    col = [Jf.get((j,)) for j in range(P)]
+    return [[If.get((i,)) * q for q in col] for i in range(P)]
+
+
+def _form2_field(metric, M):
+    """The two-form-slot field with pair matrix M."""
+    return TractorField(metric, 0, (SlotKind.FORM, SlotKind.FORM),
+                        {(i, j): p for i, row in enumerate(M)
+                         for j, p in enumerate(row)})
+
+
 def boxtimes(I, J):
     """Trace-free Young-(2,2) part of the outer product."""
-    If = _as_field(I)
-    Jf = _as_field(J)
-    metric = If.metric
-    n = metric.n
-    sp = young22_space(n + 2, hmat(metric))
-
-    def get(a, b, c, d):
-        return If.form_get(0, (a, b), (0,)) * Jf.form_get(0, (c, d), (0,))
-
-    vec = sp.coords_of_tensor(get)
-    _, proj = sp.project_coords(vec, nvars=n)
-    out = TractorField(metric, 0, (SlotKind.FORM, SlotKind.FORM))
-    for k, (i, j) in enumerate(sp.coords):
-        if proj[k].is_zero():
-            continue
-        out.comps[(i, j)] = proj[k]
-        if i != j:
-            out.comps[(j, i)] = proj[k]
-    return out
-
-
-def outer(I, J):
-    """Plain outer product as a two-form-slot field."""
-    If = _as_field(I)
-    Jf = _as_field(J)
-    out = TractorField(If.metric, 0, (SlotKind.FORM, SlotKind.FORM))
-    for (i,), p in If.comps.items():
-        for (j,), q in Jf.comps.items():
-            out.add_to((i, j), p * q)
-    return out
-
-
-def _embed_scalar(metric):
-    """The invariant element h^{A0B0} h^{A1B1} - h^{A0B1} h^{A1B0}."""
-    n = metric.n
-    ps = pair_space(n)
-    h = hmat(metric)
-    out = TractorField(metric, 0, (SlotKind.FORM, SlotKind.FORM))
-    for i, (a, b) in enumerate(ps.pairs):
-        for j, (c, d) in enumerate(ps.pairs):
-            v = h[a][c] * h[b][d] - h[a][d] * h[b][c]
-            if v:
-                out.comps[(i, j)] = Poly.const(n, v)
-    return out
-
-
-def _embed_adjoint(metric, B):
-    """Antisymmetrized h x B embedding of an adjoint element."""
-    B = _as_field(B)
-    n = metric.n
-    ps = pair_space(n)
-    h = hmat(metric)
-    out = TractorField(metric, 0, (SlotKind.FORM, SlotKind.FORM))
-    for i, (a, b) in enumerate(ps.pairs):
-        for j, (c, d) in enumerate(ps.pairs):
-            v = (B.form_get(0, (b, d), (0,)).scale(h[a][c])
-                 - B.form_get(0, (a, d), (0,)).scale(h[b][c])
-                 - B.form_get(0, (b, c), (0,)).scale(h[a][d])
-                 + B.form_get(0, (a, c), (0,)).scale(h[b][d]))
-            if not v.is_zero():
-                out.comps[(i, j)] = v
-    return out
-
-
-def _embed_sym(metric, S):
-    """Antisymmetrized h x S embedding of a symmetric two-tensor."""
-    n = metric.n
-    ps = pair_space(n)
-    h = hmat(metric)
-    out = TractorField(metric, 0, (SlotKind.FORM, SlotKind.FORM))
-    for i, (a, b) in enumerate(ps.pairs):
-        for j, (c, d) in enumerate(ps.pairs):
-            v = (S.get((b, d)).scale(h[a][c])
-                 - S.get((a, d)).scale(h[b][c])
-                 - S.get((b, c)).scale(h[a][d])
-                 + S.get((a, c)).scale(h[b][d]))
-            if not v.is_zero():
-                out.comps[(i, j)] = v
-    return out
+    metric = _as_field(I).metric
+    return _form2_field(metric, weyl_part(pair_space(metric.n), hmat(metric),
+                                          _outer_matrix(I, J)))
 
 
 class ProductDecomp:
@@ -236,81 +177,71 @@ class ProductDecomp:
         self.residual = residual
 
 
-def decompose(I, J, check=True):
+def decompose(I, J):
     """Project an outer product onto its four named components.
 
+    The scalar, adjoint and symmetric trace-free parts are embedded by
+    the Kulkarni-Nomizu product with h: h o h / 2, br o h and bu o h.
     The outer product also carries components in the four-form and
     hook-shaped modules which the named parts do not see; they are
     returned as the residual, which is checked to be orthogonal to all
     four named modules.
     """
-    If = _as_field(I)
-    metric = If.metric
+    metric = _as_field(I).metric
     n = metric.n
+    N = n + 2
+    ps = pair_space(n)
+    h = hmat(metric)
     box = boxtimes(I, J)
     br = bracket(I, J)
     bu = bullet(I, J)
     kl = killing(I, J)
-    T = outer(I, J)
-    recon = (box
-             + _embed_scalar(metric).scale(-Q(kl) / (4 * n * (n + 1) * (n + 2)))
-             + _embed_adjoint(metric, br).scale(Q(-1, 4 * n))
-             + _embed_sym(metric, bu).scale(Q(1, 4)))
-    residual = T - recon
-    if check:
-        _check_residual(metric, residual)
-    return ProductDecomp(box, bu, br, kl, residual)
+    S = [[bu.get((a, b)) for b in range(N)] for a in range(N)]
+    parts = ((h, -Q(kl) / (8 * n * (n + 1) * (n + 2))),
+             (br.expand(), Q(-1, 4 * n)), (S, Q(1, 4)))
+    res = [[t - box.get((i, j)) for j, t in enumerate(row)]
+           for i, row in enumerate(_outer_matrix(I, J))]
+    for X, c in parts:
+        for row, krow in zip(res, kulkarni_nomizu(ps, X, h)):
+            for j, k in enumerate(krow):
+                row[j] = row[j] - k * c
+    _check_residual(metric, res)
+    return ProductDecomp(box, bu, br, kl, _form2_field(metric, res))
 
 
-def _check_residual(metric, residual):
-    """Residual must be orthogonal to all four named submodules."""
+def _check_residual(metric, res):
+    """The residual pair matrix must be orthogonal to the four named
+    modules.  <h o X, res> = 4 <X, Ric(res)>, so it is orthogonal to the
+    scalar, adjoint and symmetric trace-free modules exactly when its
+    Ricci contraction vanishes, and to the (2,2) module exactly when its
+    Weyl part does."""
     n = metric.n
+    N = n + 2
     ps = pair_space(n)
-    sp = young22_space(n + 2, hmat(metric))
-    pair = lambda u, v: contract(u, v).get(())
+    h = hmat(metric)
+    ric = ricci(ps, h, res)
+    s = sum((ric[a][b] * h[a][b] for a in range(N) for b in range(N)
+             if h[a][b]), Poly.zero(n))
 
     def check(module, v, what):
         if not v.is_zero():
-            raise CKTError(f"product residual pairs to {v} with the "
-                           f"{module} module, {what}")
+            raise CKTError(f"product residual has {v} in the {module} "
+                           f"module, {what}")
 
-    check("scalar", pair(_embed_scalar(metric), residual), "its generator")
-    # adjoint module: pair against every embedded basis two-form
-    for pi in range(ps.npairs()):
-        B = TractorField(metric, 0, (SlotKind.FORM,), {(pi,): 1})
-        check("adjoint", pair(_embed_adjoint(metric, B), residual),
-              f"two-form {ps.pairs[pi]}")
-    # symmetric trace-free module
-    N = n + 2
-    h = hmat(metric)
+    check("scalar", s, "its Ricci trace")
+    for a in range(N):
+        for b in range(a + 1, N):
+            check("adjoint", (ric[a][b] - ric[b][a]).scale(Q(1, 2)),
+                  f"Ricci entry ({a},{b})")
     for a in range(N):
         for b in range(a, N):
-            S = TractorField(metric, 0, (SlotKind.STD, SlotKind.STD))
-            S.add_to((a, b), Poly.const(n, 1))
-            S.add_to((b, a), Poly.const(n, 1))
-            tr = Q(2 * h[a][b])
-            for c in range(N):
-                for d in range(N):
-                    if h[c][d]:
-                        S.add_to((c, d), Poly.const(n, -tr * Q(h[c][d], N)))
-            check("symmetric trace-free",
-                  pair(_embed_sym(metric, S), residual), f"entry ({a},{b})")
-    # Young-(2,2) trace-free module
-
-    def get(a, b, c, d):
-        r1 = ps.sign_index(a, b)
-        r2 = ps.sign_index(c, d)
-        if r1 is None or r2 is None:
-            return Poly.zero(n)
-        (i, s1), (j, s2) = r1, r2
-        v = residual.comps.get((i, j))
-        if v is None:
-            return Poly.zero(n)
-        return v.scale(s1 * s2)
-
-    for i, m in enumerate(sp.pairing_with_basis(sp.coords_of_tensor(get))):
-        if m is not None:
-            check("Young-(2,2) trace-free", m, f"basis vector {i}")
+            v = (ric[a][b] + ric[b][a]).scale(Q(1, 2)) - s.scale(Q(h[a][b], N))
+            check("symmetric trace-free", v, f"Ricci entry ({a},{b})")
+    W = weyl_part(ps, h, res)
+    for i, (a, b) in enumerate(ps.pairs):
+        for j, (c, d) in enumerate(ps.pairs[i:], i):
+            check("Young-(2,2) trace-free", W[i][j],
+                  f"entry ({a},{b},{c},{d})")
 
 
 # ----------------------------------------------------------------------

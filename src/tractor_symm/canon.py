@@ -55,7 +55,7 @@ class CanonicalSymmetry:
             t = sq(t)
         for _ in range(p):
             t = first(t)
-        return contract(I, t).comps.get((), Poly.zero(f.nvars))
+        return contract(I, t).get(())
 
     __call__ = apply
 

@@ -429,7 +429,9 @@ def split(phi, label):
     label = CKTLabel(p, r)
     metric = phi.metric
     n = metric.n
-    assert phi.rank == p
+    if phi.rank != p:
+        raise ValueError(f"splitting a rank-{phi.rank} tensor with label "
+                         f"{tuple(label)}")
     expanded_cols, crows, ext = _split_plan(metric.key(), label)
     # extraction equations, per ordered index tuple and monomial: the
     # projecting part of the extension must sum to phi (raised, to

@@ -1,4 +1,4 @@
-"""Symmetric tensors, the covector-symbol calculus and the (2,2) projector.
+"""Symmetric tensors, the covector-symbol calculus and the Weyl part.
 
 Tensors live over a flat diagonal metric of signature (s, s').  Symmetric
 tensors are stored on sorted index multisets.  A rank-p symmetric tensor
@@ -17,11 +17,12 @@ is the Fischer decomposition sigma(S) = sum_q Q^q h_q with harmonic h_q,
 which has a closed form (Axler-Bourdon-Ramey, Harmonic Function Theory,
 ch. 5): no linear system is solved.
 
-The (2,2) trace-free projector works for an arbitrary symmetric metric
-matrix (it is reused for the tractor metric h): four-index tensors are
-compressed to coordinates on Sym^2(Lambda^2), the admissible subspace is
-cut out by the first-Bianchi and trace constraints, and projection is
-orthogonal with respect to the metric-induced pairing.
+Four-index tensors in Lambda^2 (x) Lambda^2 over the tractor space are
+pair matrices on two-forms.  The Kulkarni-Nomizu product A o B builds
+them from two-index ones (h o h is the Lambda^2 pairing), and the
+trace-free Young-(2,2) (Weyl) part has the closed form
+W = R - Ric o h/(N-2) + s h o h/(2(N-1)(N-2)) of Riemannian geometry,
+an orthogonal projection in every signature: no linear system is solved.
 """
 
 from functools import lru_cache
@@ -29,7 +30,6 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .scalars import Q, ZERO, ONE
-from . import linalg
 from .poly import Poly
 
 
@@ -143,7 +143,9 @@ class SymTensor:
         return all(p.is_zero() for p in self.comps.values())
 
     def __add__(self, other):
-        assert self.rank == other.rank
+        if self.rank != other.rank:
+            raise ValueError(f"adding a rank-{other.rank} tensor to a "
+                             f"rank-{self.rank} one")
         out = SymTensor(self.metric, self.rank, weight=self.weight)
         out.comps = dict(self.comps)
         for m, p in other.comps.items():
@@ -409,7 +411,7 @@ def random_tracefree(metric, rank, degree, rng, weight=0):
 
 
 # ----------------------------------------------------------------------
-# (2,2) trace-free Young projection
+# Sym^2(Lambda^2): the Kulkarni-Nomizu product and the Weyl part
 # ----------------------------------------------------------------------
 
 class PairSpace:
@@ -448,192 +450,81 @@ class PairSpace:
         return self.coord_index[(i, j)], sa * sb
 
 
-def pair_metric(ps, h):
-    """W[p][q] = 2 (h_ac h_bd - h_ad h_bc), the full-index Lambda^2
-    pairing of the unit two-forms p = (a,b), q = (c,d) of ``ps``."""
-    return [[2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
+def kulkarni_nomizu(ps, A, B):
+    """Pair matrix of the Kulkarni-Nomizu product of N x N matrices,
+
+        (A o B)_abcd = A_ac B_bd + A_bd B_ac - A_ad B_bc - A_bc B_ad,
+
+    on the two-forms (a,b), (c,d) of ``ps``.  Entries may be scalars or
+    Polys.  It is pair-exchange symmetric when A and B are both
+    symmetric, and pair-exchange skew when one of them is skew."""
+    return [[A[a][c] * B[b][d] + A[b][d] * B[a][c]
+             - A[a][d] * B[b][c] - A[b][c] * B[a][d]
              for (c, d) in ps.pairs] for (a, b) in ps.pairs]
 
 
-class Young22:
-    """Projector onto the trace-free (2,2) component of 4-index tensors.
+def pair_metric(ps, h):
+    """W = h o h: W[p][q] = 2 (h_ac h_bd - h_ad h_bc), the full-index
+    Lambda^2 pairing of the unit two-forms p = (a,b), q = (c,d) of ``ps``."""
+    return kulkarni_nomizu(ps, h, h)
 
-    ``hmat`` is the (symmetric, invertible) metric matrix used both for
-    the trace conditions and for the orthogonal projection.  Instances
-    are cached via :func:`young22_space`.
-    """
 
-    def __init__(self, dim, hmat):
-        self.dim = dim
-        self.h = [[Q(x) for x in row] for row in hmat]
-        self.ps = PairSpace(dim)
-        self.coords = self.ps.coords
-        self._build_kernel()
-        self._build_gram()
-
-    def _build_kernel(self):
-        dim = self.dim
-        rows = []
-
-        def add_row(entries):
-            row = {}
-            for (a, b, c, d), coeff in entries:
-                r = self.ps.coord_of(a, b, c, d)
-                if r is not None:
-                    k, s = r
-                    row[k] = row.get(k, ZERO) + coeff * s
-            rows.append(row)
-
-        # first Bianchi: cyclic sum over the first three slots
-        for (a, b, c) in combinations_with_replacement(range(dim), 3):
-            if len({a, b, c}) < 3:
+def ricci(ps, h, R):
+    """Ric_bd = h^ac R_abcd of a pair matrix R (any element of
+    Lambda^2 (x) Lambda^2), as an N x N matrix."""
+    N = ps.dim
+    zero = R[0][0] * 0
+    ric = [[zero] * N for _ in range(N)]
+    for a in range(N):
+        for c in range(N):
+            if not h[a][c]:
                 continue
-            for d in range(dim):
-                add_row([((a, b, c, d), ONE), ((b, c, a, d), ONE),
-                         ((c, a, b, d), ONE)])
-        # h-trace over slots 0 and 2
-        for b in range(dim):
-            for d in range(b, dim):
-                entries = []
-                for a in range(dim):
-                    for c in range(dim):
-                        hv = self.h[a][c]
-                        if hv:
-                            entries.append(((a, b, c, d), hv))
-                add_row(entries)
-        self.kernel_basis = linalg.kernel(rows, len(self.coords))
-
-    def _coord_weights(self):
-        """Full-contraction pairing matrix on Sym^2(Lambda^2) coordinates.
-
-        Coordinate (i,j) with i<j stands for both ordered pair-pairs
-        (i,j) and (j,i), hence the multiplicity factors.
-        """
-        if not hasattr(self, "_cw"):
-            W = pair_metric(self.ps, self.h)
-            nc = len(self.coords)
-            cw = [[ZERO] * nc for _ in range(nc)]
-            for k, (i, j) in enumerate(self.coords):
-                mk = 2 if i != j else 1
-                for l, (i2, j2) in enumerate(self.coords):
-                    ml = 2 if i2 != j2 else 1
-                    s = W[i][i2] * W[j][j2] + W[i][j2] * W[j][i2]
-                    if s:
-                        cw[k][l] = Q(mk * ml, 2) * s
-            self._cw = cw
-        return self._cw
-
-    def _build_gram(self):
-        cw = self._coord_weights()
-
-        def inner(u, v):
-            total = ZERO
-            for k, uk in enumerate(u):
-                if not uk:
+            for b in range(N):
+                if b == a:
                     continue
-                rowk = cw[k]
-                for l, vl in enumerate(v):
-                    if vl and rowk[l]:
-                        total += uk * vl * rowk[l]
-            return total
-
-        B = self.kernel_basis
-        self.gram = [{l: g for l, v in enumerate(B) if (g := inner(u, v))}
-                     for u in B]
-
-    def coords_of_tensor(self, get):
-        """Sym^2(Lambda^2) coordinate vector of a dense 4-tensor.
-
-        ``get(a,b,c,d)`` returns the tensor entry (any value supporting
-        the ring operations).  Projects out the pair-skew and
-        pair-exchange-symmetric part.
-        """
-        vec = []
-        quarter = Q(1, 4)
-        half = Q(1, 2)
-        for (i, j) in self.coords:
-            a, b = self.ps.pairs[i]
-            c, d = self.ps.pairs[j]
-            f1 = (get(a, b, c, d) - get(b, a, c, d)
-                  - get(a, b, d, c) + get(b, a, d, c)) * quarter
-            f2 = (get(c, d, a, b) - get(d, c, a, b)
-                  - get(c, d, b, a) + get(d, c, b, a)) * quarter
-            vec.append((f1 + f2) * half)
-        return vec
-
-    def pairing_with_basis(self, vec):
-        """Inner products <B_i, vec> for each admissible basis vector."""
-        cw = self._coord_weights()
-        out = []
-        for u in self.kernel_basis:
-            total = None
-            for k, uk in enumerate(u):
-                if not uk:
-                    continue
-                rowk = cw[k]
-                for l, v in enumerate(vec):
-                    if not rowk[l]:
-                        continue
-                    if isinstance(v, Poly):
-                        if v.is_zero():
-                            continue
-                        term = v.scale(uk * rowk[l])
-                    else:
-                        if not v:
-                            continue
-                        term = uk * rowk[l] * v
-                    total = term if total is None else total + term
-            out.append(total)
-        return out
-
-    def project_coords(self, vec, nvars=None):
-        """Orthogonal projection of a coordinate vector onto the (2,2)0 space.
-
-        Components may be Poly (pass nvars) or plain scalars.  Returns
-        coefficients in the admissible basis together with the projected
-        coordinate vector.
-        """
-        m = self.pairing_with_basis(vec)
-        if nvars is not None:
-            zero = Poly.zero(nvars)
-            m = [zero if x is None else x for x in m]
-            coeffs = _solve_polys(self.gram, m, nvars)
-            proj = [Poly.zero(nvars) for _ in self.coords]
-            for ci, bvec in zip(coeffs, self.kernel_basis):
-                if ci.is_zero():
-                    continue
-                for k, bk in enumerate(bvec):
-                    if bk:
-                        proj[k] = proj[k] + ci.scale(bk)
-        else:
-            m = [ZERO if x is None else Q(x) for x in m]
-            coeffs = linalg.solve(self.gram, m, len(self.gram))
-            proj = [ZERO] * len(self.coords)
-            for ci, bvec in zip(coeffs, self.kernel_basis):
-                if ci:
-                    for k, bk in enumerate(bvec):
-                        if bk:
-                            proj[k] += ci * bk
-        return coeffs, proj
+                i, s1 = ps.sign_index(a, b)
+                for d in range(N):
+                    if d != c:
+                        j, s2 = ps.sign_index(c, d)
+                        ric[b][d] = ric[b][d] + R[i][j] * (h[a][c] * s1 * s2)
+    return ric
 
 
-def _solve_polys(rows, rhs_polys, nvars):
-    """Solve A x = b for a square A and Poly entries of b, with one
-    right-hand side per monomial."""
-    monos = sorted({e for p in rhs_polys for e in p.terms})
-    if not monos:
-        return [Poly.zero(nvars) for _ in rows]
-    X = linalg.solve(rows, [[p.coeff(e) for p in rhs_polys] for e in monos],
-                     len(rows))
-    return [Poly(nvars, {e: x[i] for e, x in zip(monos, X)})
-            for i in range(len(rows))]
+def weyl_part(ps, h, T):
+    """Trace-free Young-(2,2) part of the pair-symmetrization of T.
 
+    T is a pair matrix over ``ps`` (scalar or Poly entries) and h a
+    symmetric metric matrix equal to its own inverse (the tractor metric
+    or a diagonal +-1 metric), which both traces and pairs.  With
+    S = (T + T^t)/2, R = S - S_[abcd] (S_[abcd] = (S_abcd + S_acdb +
+    S_adbc)/3) and Ric, s = h^bd Ric_bd its traces,
 
-_young_cache = {}
+        W = R - Ric o h / (N-2) + s h o h / (2 (N-1) (N-2)).
 
+    Lambda^4, the h o X and the Weyl tensors are mutually orthogonal
+    under the pairing induced by h, in every signature and for N >= 3, so
+    W is the orthogonal projection of T onto the (2,2) module.
+    """
+    N = ps.dim
+    P = len(ps.pairs)
+    half, third = Q(1, 2), Q(1, 3)
+    S = [[(T[i][j] + T[j][i]) * half for j in range(P)] for i in range(P)]
 
-def young22_space(dim, hmat):
-    key = (dim, tuple(tuple(str(Q(x)) for x in row) for row in hmat))
-    if key not in _young_cache:
-        _young_cache[key] = Young22(dim, hmat)
-    return _young_cache[key]
+    def get(a, b, c, d):
+        (i, s1), (j, s2) = ps.sign_index(a, b), ps.sign_index(c, d)
+        return S[i][j] * (s1 * s2)
+
+    R = [row[:] for row in S]
+    for i, (a, b) in enumerate(ps.pairs):
+        for j, (c, d) in enumerate(ps.pairs):
+            if len({a, b, c, d}) == 4:
+                R[i][j] = R[i][j] - (S[i][j] + get(a, c, d, b)
+                                     + get(a, d, b, c)) * third
+    ric = ricci(ps, h, R)
+    s = sum((ric[b][d] * h[b][d] for b in range(N) for d in range(N)
+             if h[b][d]), R[0][0] * 0)
+    K = kulkarni_nomizu(ps, ric, h)
+    H = pair_metric(ps, h)
+    c1, c2 = Q(1, N - 2), Q(1, 2 * (N - 1) * (N - 2))
+    return [[R[i][j] - K[i][j] * c1 + s * (H[i][j] * c2) for j in range(P)]
+            for i in range(P)]

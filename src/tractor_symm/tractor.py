@@ -65,19 +65,24 @@ def hmat(metric):
 class TractorField:
     """Polynomial section of a weighted tensor-tractor bundle."""
 
-    def __init__(self, metric, weight, slots, comps=None):
+    def __init__(self, metric, weight, slots, comps=None, nvars=None):
+        """``nvars`` is the number of variables of the components, taken
+        from ``comps`` when not given: n, or 2n on a plane wave.  A field
+        built by an operator keeps its input's, also when it is zero."""
         self.metric = metric
         self.weight = Q(weight)
         self.slots = tuple(slots)
         self.comps = {}
-        if comps:
-            n = next((p.nvars for p in comps.values()
-                      if isinstance(p, Poly)), metric.n)
-            for idx, p in comps.items():
-                if not isinstance(p, Poly):
-                    p = Poly.const(n, p)
-                if not p.is_zero():
-                    self.comps[tuple(idx)] = p
+        comps = comps or {}
+        if nvars is None:
+            nvars = next((p.nvars for p in comps.values()
+                          if isinstance(p, Poly)), metric.n)
+        self._nvars = nvars
+        for idx, p in comps.items():
+            if not isinstance(p, Poly):
+                p = Poly.const(nvars, p)
+            if not p.is_zero():
+                self.comps[tuple(idx)] = p
 
     @classmethod
     def zero(cls, metric, weight, slots):
@@ -92,7 +97,7 @@ class TractorField:
 
     def nvars(self):
         """Variables of the components: n, or 2n on a plane wave."""
-        return next((p.nvars for p in self.comps.values()), self.metric.n)
+        return next((p.nvars for p in self.comps.values()), self._nvars)
 
     def get(self, idx):
         return self.comps.get(tuple(idx), Poly.zero(self.nvars()))
@@ -113,7 +118,8 @@ class TractorField:
         if (self.slots, self.weight) != (other.slots, other.weight):
             raise ValueError(f"adding {self.slots} of weight {self.weight} "
                              f"to {other.slots} of weight {other.weight}")
-        out = TractorField(self.metric, self.weight, self.slots)
+        out = TractorField(self.metric, self.weight, self.slots,
+                           nvars=self.nvars())
         out.comps = dict(self.comps)
         for idx, p in other.comps.items():
             out.add_to(idx, p)
@@ -123,7 +129,8 @@ class TractorField:
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = TractorField(self.metric, self.weight, self.slots)
+        out = TractorField(self.metric, self.weight, self.slots,
+                           nvars=self.nvars())
         c = Q(c)
         if c:
             out.comps = {i: p.scale(c) for i, p in self.comps.items()}
@@ -131,7 +138,7 @@ class TractorField:
 
     def with_weight(self, w):
         """Same components under a different weight label."""
-        out = TractorField(self.metric, w, self.slots)
+        out = TractorField(self.metric, w, self.slots, nvars=self.nvars())
         for idx, p in self.comps.items():
             out.comps[idx] = p
         return out
@@ -190,7 +197,8 @@ def nabla(t):
     metric = t.metric
     n = metric.n
     ps = pair_space(n)
-    out = TractorField(metric, t.weight, (SlotKind.VEC,) + t.slots)
+    out = TractorField(metric, t.weight, (SlotKind.VEC,) + t.slots,
+                       nvars=t.nvars())
     for a in range(n):
         gam = _gamma_entries(metric, a)
         xi = Poly.var(2 * n, n + a)
@@ -222,7 +230,7 @@ def laplacian(t):
     """Coupled Laplacian Delta = g^{ab} nabla_a nabla_b."""
     metric = t.metric
     dd = nabla(nabla(t))
-    out = TractorField(metric, t.weight, t.slots)
+    out = TractorField(metric, t.weight, t.slots, nvars=t.nvars())
     for idx, p in dd.comps.items():
         if idx[0] == idx[1]:
             out.add_to(idx[2:], p.scale(metric.eps[idx[0]]))
@@ -245,7 +253,8 @@ def tractor_D(t):
     n = metric.n
     w = t.weight
     c = n + 2 * w - 2
-    out = TractorField(metric, w - 1, (SlotKind.STD,) + t.slots)
+    out = TractorField(metric, w - 1, (SlotKind.STD,) + t.slots,
+                       nvars=t.nvars())
     if c * w:
         for idx, p in t.comps.items():
             out.add_to((0,) + idx, p.scale(c * w))
@@ -266,7 +275,8 @@ def double_D(t):
     n = metric.n
     ps = pair_space(n)
     w = t.weight - t.nvec()
-    out = TractorField(metric, t.weight, (SlotKind.FORM,) + t.slots)
+    out = TractorField(metric, t.weight, (SlotKind.FORM,) + t.slots,
+                       nvars=t.nvars())
     top = ps.index[(0, n + 1)]
     if w:
         for idx, p in t.comps.items():
@@ -298,7 +308,8 @@ def double_D2(t):
     w = t.weight
     h = hmat(metric)
     dt = tractor_D(t)
-    out = TractorField(metric, w, (SlotKind.STD, SlotKind.STD) + t.slots)
+    out = TractorField(metric, w, (SlotKind.STD, SlotKind.STD) + t.slots,
+                       nvars=t.nvars())
     half = Q(1, 2)
     if w:
         for idx, p in t.comps.items():
@@ -325,7 +336,8 @@ def hsharp(t):
     n = metric.n
     ps = pair_space(n)
     h = hmat(metric)
-    out = TractorField(metric, t.weight, (SlotKind.FORM,) + t.slots)
+    out = TractorField(metric, t.weight, (SlotKind.FORM,) + t.slots,
+                       nvars=t.nvars())
     half = Q(1, 2)
     for idx, p in t.comps.items():
         for s, kind in enumerate(t.slots):
@@ -377,7 +389,8 @@ def fund_D2(t):
     h = hmat(metric)
     u = fund_D(fund_D(t))  # slots: [outer F][inner F] + t.slots
     out = TractorField(metric, t.weight,
-                       (SlotKind.STD, SlotKind.STD) + t.slots)
+                       (SlotKind.STD, SlotKind.STD) + t.slots,
+                       nvars=t.nvars())
     half = Q(1, 2)
     ps = pair_space(n)
     # out^{AB} = -1/2 sum_{C,E} h_{CE} (U^{[CA],[BE]} + U^{[CB],[AE]})
@@ -402,7 +415,7 @@ def casimir(t):
     n = metric.n
     h = hmat(metric)
     f2 = fund_D2(t)
-    out = TractorField(metric, t.weight, t.slots)
+    out = TractorField(metric, t.weight, t.slots, nvars=t.nvars())
     for idx, p in f2.comps.items():
         hv = h[idx[0]][idx[1]]
         if hv:
@@ -414,7 +427,8 @@ def x_mult(t):
     """Multiplication by the canonical tractor X; prepends an 'S' slot."""
     metric = t.metric
     n = metric.n
-    out = TractorField(metric, t.weight + 1, (SlotKind.STD,) + t.slots)
+    out = TractorField(metric, t.weight + 1, (SlotKind.STD,) + t.slots,
+                       nvars=t.nvars())
     for idx, p in t.comps.items():
         out.comps[(n + 1,) + idx] = p
     return out
@@ -422,7 +436,8 @@ def x_mult(t):
 
 def permute_slots(t, perm):
     """Reorder slots: output slot i is input slot perm[i]."""
-    out = TractorField(t.metric, t.weight, tuple(t.slots[p] for p in perm))
+    out = TractorField(t.metric, t.weight, tuple(t.slots[p] for p in perm),
+                       nvars=t.nvars())
     for idx, p in t.comps.items():
         out.add_to(tuple(idx[q] for q in perm), p)
     return out
@@ -441,7 +456,9 @@ def contract(t1, t2):
         raise ValueError(f"contracting {t1.slots} against {t2.slots}")
     h = hmat(metric)
     W = _pair_W(metric.key())
-    out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:])
+    # an empty operand (a zero section) takes the other's variables
+    out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:],
+                       nvars=max(t1.nvars(), t2.nvars()))
     for i1, p1 in t1.comps.items():
         for i2, p2 in t2.comps.items():
             c = ONE

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,34 @@ def test_decompose_orthogonality(gelems):
     for (A, B) in ((I1, I2), (I1, Id), (Id, Id)):
         dec = algebra.decompose(A, B)  # raises if residual not orthogonal
         assert dec.killing_part == algebra.killing(A, B)
+
+
+@pytest.mark.parametrize("name, module, pair", [
+    ("killing", "scalar", (2, 2)),
+    ("bracket", "adjoint", (0, 2)),
+    ("bullet", "symmetric trace-free", (0, 2)),
+    ("boxtimes", "Young-(2,2) trace-free", (0, 2))])
+def test_decompose_rejects_wrong_part(gelems, monkeypatch, name, module,
+                                      pair):
+    # doubling the pairing, the bracket or the bullet, or zeroing
+    # boxtimes, leaves a residual in that part's module
+    A, B = (gelems[i] for i in pair)
+    algebra.decompose(A, B)
+    f = getattr(algebra, name)
+    c = 0 if name == "boxtimes" else 2
+
+    def wrong(I, J):
+        v = f(I, J)
+        if name == "killing":
+            return c * v
+        if name == "bracket":
+            return algebra.GElement(v.field.scale(c))
+        return v.scale(c)
+
+    monkeypatch.setattr(algebra, name, wrong)
+    with pytest.raises(ckt.CKTError, match=rf"in the {re.escape(module)} "
+                       r"module, (its Ricci trace|(Ricci )?entry \()"):
+        algebra.decompose(A, B)
 
 
 def test_dec2can(named_ckvs):

@@ -80,6 +80,12 @@ def test_split_rejects_nonsolution():
             ckt.split(phi, CKTLabel(*label))
 
 
+def test_split_rejects_other_rank():
+    phi = solved_basis(3, 1, 0)[0]
+    with pytest.raises(ValueError, match="rank-1"):
+        ckt.split(phi, CKTLabel(2, 0))
+
+
 def test_split_plan_cached():
     # the phi-independent rows are built once per (signature, label)
     label = CKTLabel(2, 0)

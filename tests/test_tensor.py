@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,13 @@ from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
 from tractor_symm.tensor import (Metric, SymTensor, trace, trace_free,
                                  g_odot, decompose_traces, multisets,
-                                 random_tracefree, young22_space, symbol,
-                                 from_symbol, xi_laplacian, xi_quadric)
+                                 random_tracefree, symbol, from_symbol,
+                                 xi_laplacian, xi_quadric, PairSpace,
+                                 kulkarni_nomizu, pair_metric, weyl_part)
+from tractor_symm.tractor import hmat
+from tractor_symm.ckt import weyl_dim
+from tractor_symm.algebra import brute_dim_oracle
+from tractor_symm import linalg
 
 
 def test_metric_trace():
@@ -100,37 +106,97 @@ def test_random_tracefree_is_tracefree():
     assert not t.is_zero()
 
 
-def test_young22_projection_properties():
-    # on a 4-dim euclidean space: project a random 4-tensor and check
-    # the result satisfies skewness, pair exchange, Bianchi, tracelessness
+def _random_pair_matrix(ps, rng):
+    """Pair matrix of the pair-skew part of a random dense 4-tensor."""
+    dim = ps.dim
+    dense = {(a, b, c, d): Q(rng.randint(-3, 3)) for a in range(dim)
+             for b in range(dim) for c in range(dim) for d in range(dim)}
+    return [[(dense[(a, b, c, d)] - dense[(b, a, c, d)]
+              - dense[(a, b, d, c)] + dense[(b, a, d, c)]) / 4
+             for (c, d) in ps.pairs] for (a, b) in ps.pairs]
+
+
+def _pairing(H, A, B):
+    """Full-index pairing of two pair matrices, with H = pair_metric."""
+    P = len(H)
+    return sum(A[i][j] * H[i][k] * H[j][l] * B[k][l] for i in range(P)
+               for j in range(P) for k in range(P) for l in range(P)
+               if H[i][k] and H[j][l])
+
+
+def _tractor_h(sig):
+    return hmat(Metric(*sig))
+
+
+def test_weyl_part_properties():
+    # on a 4-dim euclidean space: the Weyl part of a random 4-tensor is
+    # pair symmetric, satisfies Bianchi, is trace-free and is fixed
     dim = 4
     h = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    sp = young22_space(dim, h)
-    rng = random.Random(11)
-    dense = {}
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                for d in range(dim):
-                    dense[(a, b, c, d)] = Q(rng.randint(-3, 3))
-
-    vec = sp.coords_of_tensor(lambda a, b, c, d: dense[(a, b, c, d)])
-    _, proj = sp.project_coords(vec)
+    ps = PairSpace(dim)
+    W = weyl_part(ps, h, _random_pair_matrix(ps, random.Random(11)))
+    assert any(any(row) for row in W)
 
     def comp(a, b, c, d):
-        r = sp.ps.coord_of(a, b, c, d)
-        if r is None:
+        r1, r2 = ps.sign_index(a, b), ps.sign_index(c, d)
+        if r1 is None or r2 is None:
             return Q(0)
-        k, s = r
-        return s * proj[k]
+        return r1[1] * r2[1] * W[r1[0]][r2[0]]
 
-    # Bianchi
-    for (a, b, c, d) in ((0, 1, 2, 3), (0, 1, 2, 0), (1, 2, 3, 1)):
+    idx = range(dim)
+    for a, b, c, d in product(idx, idx, idx, idx):
+        assert comp(a, b, c, d) == comp(c, d, a, b)
         assert comp(a, b, c, d) + comp(b, c, a, d) + comp(c, a, b, d) == 0
-    # trace
-    for b in range(dim):
-        for d in range(dim):
-            assert sum(comp(a, b, a, d) for a in range(dim)) == 0
-    # projection is idempotent
-    _, proj2 = sp.project_coords(proj)
-    assert proj2 == proj
+    for b, d in product(idx, idx):
+        assert sum(comp(a, b, a, d) for a in idx) == 0
+    assert weyl_part(ps, h, W) == W
+
+
+@pytest.mark.parametrize("sig", [(4, 0), (2, 1), (1, 2)])
+def test_weyl_part_self_adjoint(sig):
+    # <W(A), B> = <A, W(B)> under the pairing induced by h, for pair
+    # matrices that are neither symmetric nor trace-free
+    h = ([[1 if i == j else 0 for j in range(4)] for i in range(4)]
+         if sig == (4, 0) else _tractor_h(sig))
+    ps = PairSpace(len(h))
+    H = pair_metric(ps, h)
+    rng = random.Random(sum(sig))
+    A, B = _random_pair_matrix(ps, rng), _random_pair_matrix(ps, rng)
+    lhs = _pairing(H, weyl_part(ps, h, A), B)
+    assert lhs == _pairing(H, A, weyl_part(ps, h, B))
+    assert lhs != 0
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (4, 0)])
+def test_weyl_part_rank(sig):
+    # its image on Sym^2 Lambda^2 of the tractor space is the (2,2) module
+    h = _tractor_h(sig)
+    ps = PairSpace(len(h))
+    P = ps.npairs()
+    rows = []
+    for i, j in ps.coords:
+        E = [[Q(int({k, l} == {i, j})) for l in range(P)] for k in range(P)]
+        W = weyl_part(ps, h, E)
+        rows.append({k: v for k, v in enumerate(x for row in W for x in row)
+                     if v})
+    n = sum(sig)
+    assert linalg.rank(rows) == weyl_dim(n, 2, 0)
+    assert weyl_dim(n, 2, 0) == brute_dim_oracle(1, 2, Metric(*sig))
+
+
+def test_pair_metric_is_half_kulkarni_nomizu_square():
+    h = _tractor_h((2, 1))
+    ps = PairSpace(len(h))
+    W = pair_metric(ps, h)
+    for p, (a, b) in enumerate(ps.pairs):
+        for q, (c, d) in enumerate(ps.pairs):
+            assert W[p][q] == 2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
+    assert kulkarni_nomizu(ps, h, h) == W
+
+
+def test_add_rejects_other_rank():
+    met = Metric.euclidean(3)
+    a = SymTensor(met, 1, {(0,): 1})
+    b = SymTensor(met, 2, {(0, 1): 1})
+    with pytest.raises(ValueError, match="rank"):
+        a + b

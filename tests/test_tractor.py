@@ -170,3 +170,13 @@ def test_contract_rejects_slot_mismatch():
     b = TractorField(MET, Q(0), (SlotKind.STD,), {(0,): 1})
     with pytest.raises(ValueError):
         contract(a, b)
+
+
+def test_zero_section_keeps_plane_wave_variables():
+    # contracting a zero section with a plane-wave field gives a zero in
+    # (x, xi), which adds to the plane wave
+    wave = Poly.const(2 * N, 1)
+    t = double_D(TractorField.density(MET, Q(0), wave))
+    z = contract(TractorField(MET, Q(0), (SlotKind.FORM,)), t).get(())
+    assert z.is_zero() and z.nvars == 2 * N
+    assert z + wave == wave
