@@ -158,9 +158,9 @@ def leading_checks(report, phi):
     return out
 
 
-def verify_commute_doubleD(metric, k, p=1, max_degree=4):
+def verify_commute_doubleD(metric, k, p=1):
     """Coupled Delta^k commutes with a string of p double-D operators,
-    on the full symbol (one plane-wave run): ``max_degree`` is unused."""
+    on the full symbol (one plane-wave run)."""
     w = Q(2 * k - metric.n, 2)
     f = TractorField.density(metric, w, Poly.const(2 * metric.n, 1))
     lhs = f
@@ -173,9 +173,9 @@ def verify_commute_doubleD(metric, k, p=1, max_degree=4):
     return lhs == rhs
 
 
-def verify_fund_equals_double(phi, label, weight, max_degree=4):
+def verify_fund_equals_double(phi, label, weight):
     """The double-D and fundamental-derivative forms of S agree, on the
-    full symbol (one plane-wave run): ``max_degree`` is unused."""
+    full symbol (one plane-wave run)."""
     label = CKTLabel(*label)
     I = ckt.split(phi, label)
     S1 = build_S(I, label, weight, use_fund=False, check_parallel=False)
@@ -184,9 +184,9 @@ def verify_fund_equals_double(phi, label, weight, max_degree=4):
     return S1(wave) == S2(wave)
 
 
-def gjms_factorization_check(metric, k, max_degree=4):
+def gjms_factorization_check(metric, k):
     """(-1)^k X..X Delta^k = D..D on weight k - n/2 densities, on the
-    full symbol (one plane-wave run): ``max_degree`` is unused."""
+    full symbol (one plane-wave run)."""
     w = Q(2 * k - metric.n, 2)
     f = TractorField.density(metric, w, Poly.const(2 * metric.n, 1))
     lhs = f

@@ -21,13 +21,14 @@ connection.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from math import factorial
 
-from .scalars import Q, ZERO, ONE
+from .scalars import Q, ZERO
 from .poly import Poly, monomials_of_degree
 from .tensor import (Metric, SymTensor, multisets, nord, exponent, multiset,
-                     trace_free, sym_part, symbol, from_symbol, xi_dx)
+                     trace_free, symbol, from_symbol, xi_raise, xi_dx)
 from .tractor import (TractorField, SlotKind, pair_space, hmat,
                       parallel_extend, nabla)
 from . import linalg
@@ -35,7 +36,8 @@ from . import linalg
 
 class CKTLabel(tuple):
     def __new__(cls, p, r):
-        assert p >= 0 and r >= 0
+        if p < 0 or r < 0:
+            raise ValueError(f"label ({p}, {r}) needs p >= 0 and r >= 0")
         return super().__new__(cls, (p, r))
 
     @property
@@ -111,52 +113,34 @@ def weyl_dim(n, p, r):
     return int(d)
 
 
-class CKTBasis:
-    def __init__(self, metric, label, solutions):
-        self.metric = metric
-        self.label = label
-        self.solutions = solutions
-
-    def __len__(self):
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __getitem__(self, i):
-        return self.solutions[i]
-
-
-def solve(metric, label, max_degree=None, check_dimension=True):
-    """Exact basis of all polynomial solutions with the given label.
+def solve(metric, label):
+    """Exact basis of all polynomial solutions with the given label, as a
+    list of SymTensors.
 
     Works degree by degree (the equation has constant coefficients, so
-    the solution space is graded).  Stops once two consecutive degrees
-    are empty and, when ``check_dimension`` is set, the total count
-    matches the Weyl dimension formula; raises CKTError otherwise.
+    the solution space is graded).  Stops at the first degree
+    d >= 2(p + 2r) + 2 at which degrees d - 1 and d are empty and the
+    total count matches the Weyl dimension formula; raises CKTError if
+    the count does not match by degree 4(p + 2r) + 8.
     """
     p, r = label
     label = CKTLabel(p, r)
-    n = metric.n
-    expected = weyl_dim(n, p, r) if check_dimension else None
+    expected = weyl_dim(metric.n, p, r)
     soft_cap = 2 * (p + 2 * r) + 2
-    hard_cap = max_degree if max_degree is not None else 2 * soft_cap + 4
+    hard_cap = 2 * soft_cap + 4
     sols = []
     empty_run = 0
-    d = 0
-    while d <= hard_cap:
+    for d in range(hard_cap + 1):
         found = _solve_degree(metric, label, d)
         sols.extend(found)
         empty_run = empty_run + 1 if not found else 0
-        d += 1
-        if d > soft_cap and empty_run >= 2:
-            if expected is None or len(sols) == expected:
-                return CKTBasis(metric, label, sols)
-    if expected is not None and len(sols) != expected:
+        if d >= soft_cap and empty_run >= 2 and len(sols) == expected:
+            return sols
+    if len(sols) != expected:
         raise CKTError(
             f"label {label}: found {len(sols)} solutions up to degree "
             f"{hard_cap}, expected {expected}")
-    return CKTBasis(metric, label, sols)
+    return sols
 
 
 def _solve_degree(metric, label, d):
@@ -346,62 +330,47 @@ def _cartan_constraint_rows(metric, label, expanded_cols):
     return [row for row in rows.values() if any(row.values())]
 
 
-def extract(t, label):
-    """Projecting part of a tractor field with the shape of ``label``.
-
-    Form slots are contracted with 2 X Z (leaving a tensor index),
-    standard slots with X; the result is returned with lowered indices as
-    a SymTensor of weight 2p + 2r.
-    """
-    metric = t.metric
-    dense = {}
-    for aa, v in _extract_dense(t, label).items():
-        eps = ONE
-        for a in aa:
-            eps *= metric.eps[a]  # lower the extracted indices
-        dense[aa] = v.scale(eps)
-    return sym_part(dense, label[0], metric,
-                    weight=CKTLabel(*label).weight)
-
-
-def product_tuples(n, p):
-    if p == 0:
-        return [()]
-    out = [()]
-    for _ in range(p):
-        out = [t + (a,) for t in out for a in range(n)]
-    return out
-
-
-def _extract_dense(t, label):
-    """Projecting part as a dense upper-index dict, not symmetrized."""
+def _extract_symbol(t, label):
+    """Projecting part of ``t`` as an upper-index symbol in (x, xi):
+    sum over ordered index tuples aa of 2^p t^{(0,a1+1)..(0,ap+1),0..0}
+    xi^aa.  Each form slot is contracted with 2 X Z, leaving a tensor
+    index, and each standard slot with X; the pair (0, a+1) is already
+    in order, so no sign enters."""
     p, r = label
-    metric = t.metric
-    n = metric.n
+    n = t.metric.n
     ps = pair_space(n)
-    dense = {}
-    for aa in product_tuples(n, p):
-        idx = []
-        sgn = ONE
-        for a in aa:
-            pi, s = ps.sign_index(0, a + 1)
-            idx.append(pi)
-            sgn *= s
-        key = tuple(idx) + (0,) * (2 * r)
-        v = t.comps.get(key)
-        if v is not None:
-            val = v.scale(sgn * Q(2) ** p)
-            if not val.is_zero():
-                dense[aa] = val
-    return dense
+    c2 = Q(2) ** p
+    out = {}
+    for aa in product(range(n), repeat=p):
+        v = t.comps.get(tuple(ps.index[(0, a + 1)] for a in aa)
+                        + (0,) * (2 * r))
+        if v is None:
+            continue
+        ex = exponent(aa, n)
+        for e, c in v.terms.items():
+            key = e + ex
+            s = out.get(key, ZERO) + c * c2
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Poly.wrap(2 * n, out)
+
+
+def extract(t, label):
+    """Projecting part of a tractor field with the shape of ``label``,
+    with lowered indices, as a SymTensor of weight 2p + 2r."""
+    metric = t.metric
+    return from_symbol(xi_raise(_extract_symbol(t, label), metric), metric,
+                       label[0], weight=CKTLabel(*label).weight)
 
 
 @lru_cache(maxsize=None)
 def _split_plan(sig, label):
     """The phi-independent part of a split: the reduced coordinates'
     expanded fibers, the Cartan rows and the extraction rows, keyed by
-    (index tuple, monomial).  linalg.solve copies rows; nothing mutates
-    them."""
+    the 2n-exponents of the projecting part's symbol.  linalg.solve
+    copies rows; nothing mutates them."""
     metric = Metric(*sig)
     slots = _shape_slots(label)
     red = _reduced_fiber(metric, label)
@@ -411,9 +380,8 @@ def _split_plan(sig, label):
     ext = {}
     for j, ex in enumerate(expanded_cols):
         ti = parallel_extend(TractorField(metric, 0, slots, ex))
-        for aa, v in _extract_dense(ti, label).items():
-            for e, c in v.terms.items():
-                ext.setdefault((aa, e), {})[j] = c
+        for e, c in _extract_symbol(ti, label).terms.items():
+            ext.setdefault(e, {})[j] = c
     return expanded_cols, crows, ext
 
 
@@ -428,21 +396,14 @@ def split(phi, label):
     p, r = label
     label = CKTLabel(p, r)
     metric = phi.metric
-    n = metric.n
     if phi.rank != p:
         raise ValueError(f"splitting a rank-{phi.rank} tensor with label "
                          f"{tuple(label)}")
     expanded_cols, crows, ext = _split_plan(metric.key(), label)
-    # extraction equations, per ordered index tuple and monomial: the
-    # projecting part of the extension must sum to phi (raised, to
-    # compare upper parts)
-    target = {}
-    for aa in product_tuples(n, p):
-        eps = ONE
-        for a in aa:
-            eps *= metric.eps[a]
-        for e, c in phi.get(aa).terms.items():
-            target[(aa, e)] = c * eps
+    # extraction equations, one per monomial in (x, xi): the projecting
+    # part of the extension must have phi's symbol (raised, to compare
+    # upper parts)
+    target = xi_raise(symbol(phi), metric).terms
     keys = ext.keys() | target.keys()
     rows = crows + [ext.get(k, {}) for k in keys]
     rhs = [ZERO] * len(crows) + [target.get(k, ZERO) for k in keys]
@@ -458,9 +419,8 @@ def split(phi, label):
     for c, ex in zip(cvec, expanded_cols):
         if c:
             for idx, v in ex.items():
-                t0.add_to(idx, Poly.const(n, v * c))
-    result = parallel_extend(t0)
-    return result
+                t0.add_to(idx, Poly.const(metric.n, v * c))
+    return parallel_extend(t0)
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,7 @@ EXIT_RESOURCE = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
-        sys.exit(EXIT_USAGE)
+        _usage(message)
 
 
 def _usage(message):
@@ -61,14 +59,6 @@ def _k(args):
     return args.k
 
 
-def _max_degree(args):
-    if args.max_degree is None:
-        return 3
-    if args.max_degree < 0:
-        _usage("need max-degree >= 0, got max-degree = %d" % args.max_degree)
-    return args.max_degree
-
-
 def _label(args):
     if args.p < 0 or args.r < 0:
         _usage("need p >= 0 and r >= 0, got p = %d, r = %d"
@@ -78,10 +68,10 @@ def _label(args):
 
 def _config(args, metric):
     cfg = {"n": metric.n, "signature": list(metric.signature)}
-    for f in ("k", "p", "r", "d", "t", "max_degree", "seed", "index"):
+    for f in ("k", "p", "r", "d", "t", "seed", "index"):
         v = getattr(args, f, None)
         if v is not None:
-            cfg[f.replace("_", "-")] = v
+            cfg[f] = v
     return cfg
 
 
@@ -232,16 +222,13 @@ def cmd_compose(args):
 
 def cmd_decompose(args):
     metric = _metric(args)
-    max_degree = _max_degree(args)
     rng = random.Random(args.seed or 0)
     basis = ckt.solve(metric, CKTLabel(1, 0))
     i = rng.randrange(len(basis))
     j = rng.randrange(len(basis))
-    I = algebra.GElement.from_ckv(basis[i])
-    J = algebra.GElement.from_ckv(basis[j])
-    dec = algebra.decompose(I, J)
-    rep = algebra.verify_dec2can(basis[i], basis[j], Q(0),
-                                 max_degree=max_degree)
+    dec = algebra.decompose(ckt.split(basis[i], CKTLabel(1, 0)),
+                            ckt.split(basis[j], CKTLabel(1, 0)))
+    rep = algebra.verify_dec2can(basis[i], basis[j], Q(0))
     _emit(args, "decompose", _config(args, metric),
           {"pair": [i, j], "killing": qstr(dec.killing_part),
            "residual_terms": len(dec.residual.comps),
@@ -308,7 +295,6 @@ def cmd_algebra(args):
     metric = _metric(args)
     n = metric.n
     k = _k(args)
-    max_degree = _max_degree(args)
     if args.action == "graded":
         t = args.t if args.t is not None else 1
         if t < 1:
@@ -332,22 +318,20 @@ def cmd_algebra(args):
         allok = True
         out = []
         for (i, j) in pairs:
-            rep = algebra.verify_dec2can(basis[i], basis[j], Q(0),
-                                         max_degree=max_degree)
+            rep = algebra.verify_dec2can(basis[i], basis[j], Q(0))
             allok = allok and rep["all"]
             out.append({"pair": [i, j], "all": rep["all"]})
         _emit(args, "algebra dec2can", _config(args, metric), out, allok)
     elif args.action == "ideal":
         i = rng.randrange(len(basis))
         j = rng.randrange(len(basis))
-        ok = algebra.ideal_relation_check(basis[i], basis[j], k,
-                                          max_degree=max_degree)
+        ok = algebra.ideal_relation_check(basis[i], basis[j], k)
         _emit(args, "algebra ideal", _config(args, metric),
               {"pair": [i, j],
                "coefficient": qstr(algebra.ideal_coefficient(n, k)),
                "holds": ok}, ok)
     elif args.action == "extra":
-        ok = algebra.lemma_extra_check(k, metric, max_degree=max_degree)
+        ok = algebra.lemma_extra_check(k, metric)
         _emit(args, "algebra extra", _config(args, metric),
               {"holds": ok}, ok)
 
@@ -366,11 +350,9 @@ def cmd_report(args):
     basis = ckt.solve(metric, CKTLabel(1, 0))
     rep = canon.verify_symmetry(basis[0], (1, 0), k)
     checks["symmetry"] = rep.verdict
-    checks["gjms"] = canon.gjms_factorization_check(metric, min(k, 2),
-                                                    max_degree=3)
+    checks["gjms"] = canon.gjms_factorization_check(metric, min(k, 2))
     checks["regularity"] = all(canon.regularity(k, d) for d in range(k))
-    checks["ideal"] = algebra.ideal_relation_check(basis[0], basis[1], k,
-                                                   max_degree=3)
+    checks["ideal"] = algebra.ideal_relation_check(basis[0], basis[1], k)
     ok = all(checks.values())
     _emit(args, "report", _config(args, metric),
           {"dims": dims, "checks": checks}, ok)
@@ -388,8 +370,6 @@ def _add_common(p):
     p.add_argument("--d", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--index", type=int)
-    p.add_argument("--max-degree", type=int, dest="max_degree",
-                   help="unused: the checks compare full symbols")
     p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--all-basis", action="store_true", dest="all_basis")

@@ -28,7 +28,8 @@ class OpType(tuple):
     """Term type <p|r>: p free gradients and r Laplacians."""
 
     def __new__(cls, p, r):
-        assert p >= 0 and r >= 0
+        if p < 0 or r < 0:
+            raise ValueError(f"type <{p}|{r}> needs p >= 0 and r >= 0")
         return super().__new__(cls, (p, r))
 
     @property

@@ -31,7 +31,10 @@ def det(mat):
     n = len(rows)
     if n == 0:
         return ONE
-    assert all(len(r) == n for r in rows), "determinant needs a square matrix"
+    lengths = [len(r) for r in rows]
+    if any(m != n for m in lengths):
+        raise ValueError(f"determinant needs a square matrix, got {n} rows "
+                         f"of lengths {lengths}")
     d = ONE
     for c in range(n):
         piv = None

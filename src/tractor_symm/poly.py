@@ -138,7 +138,8 @@ class Poly:
         return p
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"power {k!r} is not a non-negative integer")
         out = Poly.const(self.nvars, 1)
         base = self
         while k:

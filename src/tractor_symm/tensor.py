@@ -37,7 +37,9 @@ class Metric:
     """Flat diagonal metric of signature (s, s'): s pluses then s' minuses."""
 
     def __init__(self, s, sp):
-        assert s >= 0 and sp >= 0 and s + sp >= 1
+        if s < 0 or sp < 0 or s + sp < 1:
+            raise ValueError(f"signature ({s}, {sp}) needs non-negative "
+                             "entries and dimension >= 1")
         self.s = s
         self.sp = sp
         self.n = s + sp
@@ -123,13 +125,6 @@ class SymTensor:
         key = tuple(sorted(idx))
         return self.comps.get(key, Poly.zero(self.metric.n))
 
-    def set(self, idx, p):
-        key = tuple(sorted(idx))
-        if isinstance(p, Poly) and not p.is_zero():
-            self.comps[key] = p
-        else:
-            self.comps.pop(key, None)
-
     def add_to(self, idx, p):
         key = tuple(sorted(idx))
         cur = self.comps.get(key)
@@ -171,30 +166,16 @@ class SymTensor:
         keys = set(self.comps) | set(other.comps)
         return all(self.get(k) == other.get(k) for k in keys)
 
-    def max_degree(self):
-        return max((p.degree() for p in self.comps.values()), default=-1)
-
     def __repr__(self):
         body = ", ".join(f"{m}: {p}" for m, p in sorted(self.comps.items()))
         return f"SymTensor(rank={self.rank}, {{{body}}})"
 
 
-def sym_part(dense, rank, metric, weight=0):
-    """Symmetrize a dense tensor (dict full-index-tuple -> Poly)."""
-    buckets = {}
-    for idx, p in dense.items():
-        m = tuple(sorted(idx))
-        buckets[m] = buckets[m] + p if m in buckets else p
-    out = SymTensor(metric, rank, weight=weight)
-    for m, total in buckets.items():
-        out.add_to(m, total.scale(Q(1, nord(m))))
-    return out
-
-
 def trace(t, metric=None):
     """Contract two symmetric slots with the inverse metric."""
     metric = metric or t.metric
-    assert t.rank >= 2
+    if t.rank < 2:
+        raise ValueError(f"trace of a rank-{t.rank} tensor")
     out = SymTensor(metric, t.rank - 2, weight=t.weight)
     for m in multisets(metric.n, t.rank - 2):
         total = Poly.zero(metric.n)

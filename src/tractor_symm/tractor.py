@@ -85,10 +85,6 @@ class TractorField:
                 self.comps[tuple(idx)] = p
 
     @classmethod
-    def zero(cls, metric, weight, slots):
-        return cls(metric, weight, slots)
-
-    @classmethod
     def density(cls, metric, weight, f):
         return cls(metric, weight, (), {(): f})
 
@@ -150,20 +146,6 @@ class TractorField:
             return False
         keys = set(self.comps) | set(other.comps)
         return all(self.get(k) == other.get(k) for k in keys)
-
-    def form_get(self, slot, members, idx):
-        """Signed access to a form slot by ordered members (A, B)."""
-        ps = pair_space(self.metric.n)
-        r = ps.sign_index(*members)
-        if r is None:
-            return Poly.zero(self.nvars())
-        p, s = r
-        idx = list(idx)
-        idx[slot] = p
-        v = self.comps.get(tuple(idx))
-        if v is None:
-            return Poly.zero(self.nvars())
-        return v if s == 1 else v.scale(-1)
 
     def form_add(self, slot, members, idx, p):
         ps = pair_space(self.metric.n)

@@ -6,7 +6,8 @@ import pytest
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric, SymTensor, trace
-from tractor_symm.tractor import nabla, TractorField, SlotKind, contract, double_D
+from tractor_symm.tractor import (nabla, TractorField, SlotKind, contract,
+                                  double_D, pair_space)
 from tractor_symm import ckt
 from tractor_symm.ckt import CKTLabel, weyl_dim, ckt_apply, grad_sym0
 
@@ -84,6 +85,24 @@ def test_split_rejects_other_rank():
     phi = solved_basis(3, 1, 0)[0]
     with pytest.raises(ValueError, match="rank-1"):
         ckt.split(phi, CKTLabel(2, 0))
+
+
+@pytest.mark.parametrize("sig, a, b, eps", [((3, 0), 0, 1, 1),
+                                             ((2, 1), 0, 2, -1)])
+def test_extract_symmetrizes_form_slots(sig, a, b, eps):
+    # one ordering of the form pairs (0, a+1), (0, b+1) extracts to the
+    # symmetrized half: 2^2 v / 2 on the multiset {a, b}, lowered by eps_b
+    metric = Metric(*sig)
+    label = CKTLabel(2, 0)
+    ps = pair_space(metric.n)
+    i, j = ps.index[(0, a + 1)], ps.index[(0, b + 1)]
+    v = Poly.var(metric.n, 2) + Poly.const(metric.n, 3)
+    want = SymTensor(metric, 2, {(a, b): v.scale(2 * eps)})
+    one = TractorField(metric, 0, (SlotKind.FORM,) * 2, {(i, j): v})
+    other = TractorField(metric, 0, (SlotKind.FORM,) * 2, {(j, i): v})
+    assert ckt.extract(one, label) == want
+    assert ckt.extract(other, label) == want
+    assert ckt.extract(one + other, label) == want.scale(2)
 
 
 def test_split_plan_cached():

@@ -94,7 +94,7 @@ def test_report(capsys):
     ["ckt", "dim", "--n", "3", "--p", "-1"],
     ["ckt", "dim", "--n", "3", "--r", "-1"],
     ["algebra", "graded", "--k", "2", "--t", "0"],
-    ["algebra", "extra", "--n", "3", "--k", "2", "--max-degree", "-1"],
+    ["algebra", "extra", "--n", "3", "--k", "2", "--max-degree", "3"],
 ])
 def test_bad_input_one_line(capsys, argv):
     assert run(argv) == 1
@@ -102,21 +102,6 @@ def test_bad_input_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-def test_max_degree_zero_is_kept(capsys, monkeypatch):
-    seen = []
-
-    def fake(phi, phib, w, max_degree):
-        seen.append(max_degree)
-        return {"all": True}
-
-    monkeypatch.setattr(cli.algebra, "verify_dec2can", fake)
-    code, doc = run_json(capsys, ["algebra", "dec2can", "--n", "3",
-                                  "--seed", "1", "--max-degree", "0"])
-    assert code == 0
-    assert seen == [0, 0, 0]
-    assert doc["config"]["max-degree"] == 0
 
 
 def test_split(capsys):
