@@ -20,8 +20,8 @@ from itertools import combinations_with_replacement
 
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
-from .tensor import (Metric, SymTensor, trace_free, kulkarni_nomizu,
-                     ricci, weyl_part)
+from .tensor import (Metric, SymTensor, kulkarni_nomizu, ricci, weyl_part,
+                     symbol, from_symbol, harmonic_parts)
 from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
                       fund_D2, tractor_D, x_mult)
 from . import ckt, linalg
@@ -305,12 +305,10 @@ def verify_dec2can(phi, phib, w, max_degree=None):
     ok_main = _composition_defect(
         products, w, w * (n + w) / (n * (n + 1) * (n + 2))).is_zero()
     # summand identification through the splitting of the product sections
-    prod2 = SymTensor(metric, 2, weight=4)
-    for a in range(n):
-        for b in range(a, n):
-            v = phi.get((a,)) * phib.get((b,)) + phi.get((b,)) * phib.get((a,))
-            prod2.add_to((a, b), v.scale(Q(1, 2)))
-    ok_box = box == ckt.split(trace_free(prod2), CKTLabel(2, 0))
+    # the symmetric product phi phib has symbol sigma(phi) sigma(phib)
+    prod2 = next(harmonic_parts(symbol(phi) * symbol(phib), metric, 2))
+    ok_box = box == ckt.split(from_symbol(prod2, metric, 2, weight=4),
+                              CKTLabel(2, 0))
     sigma = Poly.zero(n)
     for a in range(n):
         sigma = sigma + (phi.get((a,)) * phib.get((a,))).scale(metric.eps[a])

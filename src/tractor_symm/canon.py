@@ -97,8 +97,7 @@ class SymmetryReport:
 
     def to_dict(self):
         metric = self.residual.metric
-        res = [{"p": t.p, "r": t.r} for t in self.residual.types()
-               if not self.residual.terms[t].is_zero()]
+        res = [{"p": t.p, "r": t.r} for t in self.residual.types()]
         return {"n": metric.n, "signature": list(metric.signature),
                 "k": self.k, "label": list(self.label),
                 "verdict": "pass" if self.verdict else "fail",
@@ -144,14 +143,13 @@ def leading_checks(report, phi):
     checks = {"level_bound": True, "order_bound": True,
               "delta_power_bound": True}
     for op in (report.S_std, report.Sp_std):
-        live = [t for t in op.types() if not op.terms[t].is_zero()]
-        if not all(t.level <= p + r for t in live) or \
+        if not all(t.level <= p + r for t in op.terms) or \
                 op.greatest_term() != lead:
             checks["level_bound"] = False
         if not all(t.order <= p + 2 * r and
-                   (t.order < p + 2 * r or t == lead) for t in live):
+                   (t.order < p + 2 * r or t == lead) for t in op.terms):
             checks["order_bound"] = False
-        if not all(t.r <= r for t in live):
+        if not all(t.r <= r for t in op.terms):
             checks["delta_power_bound"] = False
     out.update(checks)
     out["all"] = all(out.values())
@@ -401,13 +399,13 @@ def classify(op, k):
     residual = op
     while not residual.is_zero():
         t = residual.greatest_term()
-        phi = residual.coeff(*t)
         if t.r >= k:
             # phi nabla^p Delta^r = (phi nabla^p Delta^{r-k}) Delta^k
-            g = StdOp.from_coeff(phi, t.r - k)
-            tail = tail + g
-            residual = residual - StdOp.from_coeff(phi, t.r)
+            P = residual.terms[t]
+            tail = tail + StdOp(metric, {(t.p, t.r - k): P})
+            residual = residual - StdOp(metric, {t: P})
             continue
+        phi = residual.coeff(*t)
         label = CKTLabel(t.p, t.r)
         viol = ckt.ckt_apply(phi, t.r)
         if not viol.is_zero():

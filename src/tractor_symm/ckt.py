@@ -28,7 +28,7 @@ from math import factorial
 from .scalars import Q, ZERO
 from .poly import Poly, monomials_of_degree
 from .tensor import (Metric, SymTensor, multisets, nord, exponent, multiset,
-                     trace_free, symbol, from_symbol, xi_raise, xi_dx)
+                     harmonic_parts, symbol, from_symbol, xi_raise, xi_dx)
 from .tractor import (TractorField, SlotKind, pair_space, hmat,
                       parallel_extend, nabla)
 from . import linalg
@@ -65,10 +65,11 @@ def grad_sym0(phi, q):
 
     On symbols the symmetrized gradient is multiplication by xi . d_x.
     """
+    metric, rank = phi.metric, phi.rank + q
     sym = symbol(phi)
     for _ in range(q):
-        sym = xi_dx(sym, phi.metric.n)
-    return trace_free(from_symbol(sym, phi.metric, phi.rank + q))
+        sym = xi_dx(sym, metric.n)
+    return from_symbol(next(harmonic_parts(sym, metric, rank)), metric, rank)
 
 
 def ckt_apply(phi, r):

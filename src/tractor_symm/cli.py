@@ -11,7 +11,7 @@ import random
 import sys
 
 from .scalars import Q, qstr
-from .tensor import Metric, random_tracefree
+from .tensor import Metric, random_tracefree, comps_to_json
 from .diffop import StdOp
 from . import ckt, canon, algebra
 from .ckt import CKTLabel
@@ -116,18 +116,9 @@ def _print_value(v, indent=""):
         print("%s%s" % (indent, v))
 
 
-def _sym_to_dict(t):
-    return [[list(m), [[list(e), qstr(c)] for e, c in
-                       sorted(t.comps[m].terms.items())]]
-            for m in sorted(t.comps)]
-
-
 def _tractor_to_dict(t):
-    return {"weight": qstr(t.weight),
-            "slots": [s for s in t.slots],
-            "comps": [[list(i), [[list(e), qstr(c)] for e, c in
-                                 sorted(p.terms.items())]]
-                      for i, p in sorted(t.comps.items())]}
+    return {"weight": qstr(t.weight), "slots": list(t.slots),
+            "comps": comps_to_json(t.comps)}
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +135,9 @@ def cmd_ckt(args):
         _emit(args, "ckt dim", _config(args, metric),
               {"dim": dim, "solved": len(basis)}, ok)
     else:
+        basis = [comps_to_json(b.comps) for b in basis]
         _emit(args, "ckt basis", _config(args, metric),
-              {"dim": dim, "basis": [_sym_to_dict(b) for b in basis]}, ok)
+              {"dim": dim, "basis": basis}, ok)
 
 
 def cmd_split(args):

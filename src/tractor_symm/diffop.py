@@ -6,22 +6,25 @@ An operator is kept as a sum of terms
 
 with phi symmetric trace-free.  The type of a term is <p|r>, its order
 p + 2r and its level p + r; types are compared by (level, order).
-The raw form sum_alpha c_alpha(x) d^alpha is kept as its full symbol
-sum_alpha c_alpha(x) xi^alpha, one Poly in the 2n variables (x, xi)
-(``tensor``): the operator sends the plane wave e^{xi.x} to its symbol
-times e^{xi.x}.  Operators compose by the symbol product a#b
+Operators are symbols (``tensor``): the raw form sum_alpha c_alpha(x)
+d^alpha is its full symbol sum_alpha c_alpha(x) xi^alpha, one Poly in
+the 2n variables (x, xi), and the operator sends the plane wave e^{xi.x}
+to its symbol times e^{xi.x}.  A term is kept as sigma(phi) with the
+indices of phi raised, a harmonic symbol of xi-degree p, and its raw form
+is Q^r sigma(phi).  Operators compose by the symbol product a#b
 (``compose_raw``) and act by sum_alpha c_alpha d^alpha f
-(``apply_raw``).  Normalization converts an arbitrary
-polynomial-coefficient symbol into standard form by decomposing it at
-each total order in xi into trace parts.
+(``apply_raw``).  Normalization splits each xi-degree part of a symbol
+into its harmonic parts (``tensor.harmonic_parts``), the Fischer
+decomposition.  A SymTensor is built only for ``coeff``, ``from_coeff``
+and serialization.
 """
 
 from operator import add
 
-from .scalars import Q, qstr, qparse
+from .scalars import Q, qparse
 from .poly import Poly
-from .tensor import (SymTensor, decompose_traces, symbol, from_symbol,
-                     xi_raise, xi_quadric)
+from .tensor import (Metric, SymTensor, symbol, from_symbol, xi_raise,
+                     xi_quadric, harmonic_parts, comps_to_json)
 
 
 class OpType(tuple):
@@ -60,13 +63,13 @@ class StdOp:
 
     def __init__(self, metric, terms=None):
         self.metric = metric
-        # OpType -> SymTensor (trace-free, rank p, lower indices)
+        # OpType -> sigma(phi) with raised indices: a Poly in (x, xi),
+        # harmonic and homogeneous of degree p in xi
         self.terms = {}
         if terms:
-            for t, coeff in terms.items():
-                t = OpType(*t)
-                if not coeff.is_zero():
-                    self.terms[t] = coeff
+            for t, P in terms.items():
+                if not P.is_zero():
+                    self.terms[OpType(*t)] = P
 
     @classmethod
     def zero(cls, metric):
@@ -74,70 +77,58 @@ class StdOp:
 
     @classmethod
     def identity(cls, metric):
-        one = SymTensor(metric, 0, {(): 1})
-        return cls(metric, {OpType(0, 0): one})
+        return cls.laplacian_power(metric, 0)
 
     @classmethod
     def laplacian_power(cls, metric, k):
-        if k == 0:
-            return cls.identity(metric)
-        one = SymTensor(metric, 0, {(): 1})
-        return cls(metric, {OpType(0, k): one})
+        return cls(metric, {OpType(0, k): Poly.const(2 * metric.n, 1)})
 
     @classmethod
     def from_coeff(cls, coeff, r=0):
         """Single term phi . nabla^p Delta^r from a trace-free SymTensor."""
-        return cls(coeff.metric, {OpType(coeff.rank, r): coeff})
+        metric = coeff.metric
+        return cls(metric, {OpType(coeff.rank, r):
+                            xi_raise(symbol(coeff), metric)})
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.terms.values())
+        return not self.terms
 
     def types(self):
         return sorted(self.terms, key=OpType.sort_key)
 
     def coeff(self, p, r):
-        t = OpType(p, r)
-        return self.terms.get(t, SymTensor.zero(self.metric, p))
+        """phi of the term <p|r>, lower indices, as a SymTensor."""
+        P = self.terms.get(OpType(p, r), Poly.zero(2 * self.metric.n))
+        return from_symbol(xi_raise(P, self.metric), self.metric, p)
 
     def greatest_term(self):
         """Largest type present, by (level, order); None for the zero op."""
-        live = [t for t, c in self.terms.items() if not c.is_zero()]
-        if not live:
-            return None
-        return max(live, key=OpType.sort_key)
+        return max(self.terms, key=OpType.sort_key, default=None)
 
     def __add__(self, other):
         if self.metric != other.metric:
             raise ValueError(f"operators on {self.metric} and {other.metric}")
         out = StdOp(self.metric)
         out.terms = dict(self.terms)
-        for t, c in other.terms.items():
-            if t in out.terms:
-                s = out.terms[t] + c
-                if s.is_zero():
-                    del out.terms[t]
-                else:
-                    out.terms[t] = s
-            elif not c.is_zero():
-                out.terms[t] = c
+        for t, P in other.terms.items():
+            s = out.terms[t] + P if t in out.terms else P
+            if s.is_zero():
+                del out.terms[t]
+            else:
+                out.terms[t] = s
         return out
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = StdOp(self.metric)
-        for t, coeff in self.terms.items():
-            s = coeff.scale(c)
-            if not s.is_zero():
-                out.terms[t] = s
-        return out
+        return StdOp(self.metric, {t: P.scale(c)
+                                   for t, P in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, StdOp):
             return NotImplemented
-        types = set(self.terms) | set(other.terms)
-        return all(self.coeff(*t) == other.coeff(*t) for t in types)
+        return self.terms == other.terms
 
     # -- action on polynomials ---------------------------------------
 
@@ -149,18 +140,13 @@ class StdOp:
     # -- raw form and composition -------------------------------------
 
     def to_raw(self):
-        """The symbol sum_alpha c_alpha(x) xi^alpha, a Poly in (x, xi).
-
-        phi nabla^p Delta^r has symbol Q^r sigma(phi) with the indices of
-        phi raised.
-        """
-        metric = self.metric
-        raw = Poly.zero(2 * metric.n)
-        for t, coeff in self.terms.items():
-            sym = xi_raise(symbol(coeff), metric)
+        """The symbol sum_alpha c_alpha(x) xi^alpha, a Poly in (x, xi):
+        sum over the terms of Q^r sigma(phi)."""
+        raw = Poly.zero(2 * self.metric.n)
+        for t, P in self.terms.items():
             for _ in range(t.r):
-                sym = xi_quadric(sym, metric)
-            raw = raw + sym
+                P = xi_quadric(P, self.metric)
+            raw = raw + P
         return raw
 
     def compose(self, other):
@@ -173,42 +159,29 @@ class StdOp:
     # -- serialization -------------------------------------------------
 
     def to_dict(self):
-        terms = []
-        for t in sorted(self.terms, key=OpType.sort_key, reverse=True):
-            coeff = self.terms[t]
-            comp_list = []
-            for m in sorted(coeff.comps):
-                p = coeff.comps[m]
-                poly_list = [[list(e), qstr(c)]
-                             for e, c in sorted(p.terms.items())]
-                comp_list.append([list(m), poly_list])
-            terms.append({"p": t.p, "r": t.r, "coeff": comp_list})
+        terms = [{"p": t.p, "r": t.r, "coeff": comps_to_json(
+                      self.coeff(*t).comps)}
+                 for t in sorted(self.terms, key=OpType.sort_key,
+                                 reverse=True)]
         return {"n": self.metric.n, "signature": list(self.metric.signature),
                 "terms": terms}
 
     @classmethod
     def from_dict(cls, data):
-        from .tensor import Metric
         metric = Metric(*data["signature"])
         op = cls(metric)
         for term in data["terms"]:
-            t = OpType(term["p"], term["r"])
-            comps = {}
-            for m, poly_list in term["coeff"]:
-                comps[tuple(m)] = Poly(metric.n, {
-                    tuple(e): qparse(c) for e, c in poly_list})
-            coeff = SymTensor(metric, t.p, comps)
-            if not coeff.is_zero():
-                op.terms[t] = coeff
+            comps = {tuple(m): Poly(metric.n, {
+                         tuple(e): qparse(c) for e, c in poly_list})
+                     for m, poly_list in term["coeff"]}
+            op = op + cls.from_coeff(SymTensor(metric, term["p"], comps),
+                                     term["r"])
         return op
 
     def __repr__(self):
-        if not self.terms:
-            return "StdOp(0)"
-        bits = []
-        for t in sorted(self.terms, key=OpType.sort_key, reverse=True):
-            bits.append(f"{t!r}:{self.terms[t]!r}")
-        return "StdOp(" + " + ".join(bits) + ")"
+        bits = [f"{t!r}:{self.terms[t]!r}"
+                for t in sorted(self.terms, key=OpType.sort_key, reverse=True)]
+        return "StdOp(" + (" + ".join(bits) or "0") + ")"
 
 
 def compose_raw(a, b):
@@ -285,16 +258,14 @@ def normalize_raw(raw, metric):
     """Convert a symbol to standard form.
 
     ``raw`` is the Poly sum_alpha c_alpha(x) xi^alpha in (x, xi).  Orders
-    do not mix: the part of xi-degree o is decomposed into trace parts,
-    each trace producing one Laplacian.
+    do not mix: the part of xi-degree o is Q^q h_q summed over its
+    harmonic parts h_q, and h_q is the term <o-2q|q>.
     """
     op = StdOp(metric)
     for o, part in sorted(by_xi_degree(raw, metric.n).items()):
-        # the order-o symbol, lowered, is sigma of a rank-o tensor
-        parts = decompose_traces(from_symbol(
-            xi_raise(Poly.wrap(raw.nvars, part), metric), metric, o))
-        for q, u in enumerate(parts):
+        parts = harmonic_parts(Poly.wrap(raw.nvars, part), metric, o)
+        for q, P in enumerate(parts):
             # <o-2q|q> has order o: no two parts share a type
-            if not u.is_zero():
-                op.terms[OpType(o - 2 * q, q)] = u
+            if not P.is_zero():
+                op.terms[OpType(o - 2 * q, q)] = P
     return op

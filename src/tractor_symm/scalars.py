@@ -7,7 +7,7 @@ which the serialization layer relies on.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 try:
     from gmpy2 import mpq as Q
@@ -34,4 +34,4 @@ def binom(m: int, j: int):
     return Q(comb(m, j))
 
 
-__all__ = ["Q", "ZERO", "ONE", "qstr", "qparse", "binom", "factorial", "Fraction"]
+__all__ = ["Q", "ZERO", "ONE", "qstr", "qparse", "binom", "Fraction"]

@@ -15,7 +15,8 @@ decomposition
 
 is the Fischer decomposition sigma(S) = sum_q Q^q h_q with harmonic h_q,
 which has a closed form (Axler-Bourdon-Ramey, Harmonic Function Theory,
-ch. 5): no linear system is solved.
+ch. 5): ``harmonic_parts`` yields h_0, h_1, .. and solves no linear
+system.
 
 Four-index tensors in Lambda^2 (x) Lambda^2 over the tractor space are
 pair matrices on two-forms.  The Kulkarni-Nomizu product A o B builds
@@ -29,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
-from .scalars import Q, ZERO, ONE
+from .scalars import Q, ZERO, ONE, qstr
 from .poly import Poly
 
 
@@ -171,42 +172,11 @@ class SymTensor:
         return f"SymTensor(rank={self.rank}, {{{body}}})"
 
 
-def trace(t, metric=None):
-    """Contract two symmetric slots with the inverse metric."""
-    metric = metric or t.metric
-    if t.rank < 2:
-        raise ValueError(f"trace of a rank-{t.rank} tensor")
-    out = SymTensor(metric, t.rank - 2, weight=t.weight)
-    for m in multisets(metric.n, t.rank - 2):
-        total = Poly.zero(metric.n)
-        for a in range(metric.n):
-            total = total + t.get(m + (a, a)).scale(metric.eps[a])
-        if not total.is_zero():
-            out.comps[m] = total
-    return out
-
-
-def g_odot(t, metric=None):
-    """Symmetrized product g . t (rank goes up by two).
-
-    Of the nord(m) orderings of m, nord(m - {a, a}) start with the pair
-    (a, a); only those see a nonzero metric entry.
-    """
-    metric = metric or t.metric
-    out = SymTensor(metric, t.rank + 2, weight=t.weight)
-    for m in multisets(metric.n, t.rank + 2):
-        total = Poly.zero(metric.n)
-        for a in sorted(set(m)):
-            if m.count(a) < 2:
-                continue
-            rest = list(m)
-            rest.remove(a)
-            rest.remove(a)
-            rest = tuple(rest)
-            total = total + t.get(rest).scale(metric.eps[a] * nord(rest))
-        if not total.is_zero():
-            out.comps[m] = total.scale(Q(1, nord(m)))
-    return out
+def comps_to_json(comps):
+    """JSON form of a component dict (index tuple -> Poly), sorted:
+    [[index, [[exponent, "p/q"], ..]], ..]."""
+    return [[list(i), [[list(e), qstr(c)] for e, c in sorted(p.terms.items())]]
+            for i, p in sorted(comps.items())]
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +222,8 @@ def _moved(e, i, d):
 
 def _xi_map(P, n, images):
     """The linear map sending x^b xi^e to sum_{(f, k) in images(e)}
-    k x^b xi^f, for integers k; images runs once per xi-exponent."""
+    k x^b xi^f, for integers k, where e is the exponent from entry n on
+    (all of it for n = 0); images runs once per e."""
     table = {}
     out = {}
     for e, c in P.terms.items():
@@ -306,11 +277,8 @@ def xi_reduce(P, metric):
 
 def xi_dx(P, n):
     """(xi . d_x) P = sum_a xi_a dP/dx_a."""
-    out = Poly.zero(P.nvars)
-    for a in range(n):
-        out = out + Poly.wrap(P.nvars, {
-            _moved(e, n + a, 1): c for e, c in P.diff(a).terms.items()})
-    return out
+    return _xi_map(P, 0, lambda e: [
+        (_moved(_moved(e, a, -1), n + a, 1), e[a]) for a in range(n) if e[a]])
 
 
 @lru_cache(maxsize=None)
@@ -342,41 +310,24 @@ def _trace_decomp_solver(sig, p):
     return table
 
 
-def _laplacian_chain(t):
-    """[sigma(S), Delta_xi sigma(S), .., Delta_xi^(p//2) sigma(S)]."""
-    chain = [symbol(t)]
-    for _ in range(t.rank // 2):
-        chain.append(xi_laplacian(chain[-1], t.metric))
-    return chain
-
-
-def _harmonic(chain, coeffs, metric):
-    """sum_j coeffs[j] Q^j chain[j], by Horner's rule in Q."""
-    acc = Poly.zero(chain[0].nvars)
-    for c, P in zip(reversed(coeffs), reversed(chain[:len(coeffs)])):
-        acc = xi_quadric(acc, metric) + P.scale(c)
-    return acc
-
-
-def decompose_traces(t):
-    """Full decomposition S = S0 + g.U1 + g^2.U2 + ...; returns [S0, U1, ...]."""
-    metric = t.metric
-    p = t.rank
-    if p < 2:
-        return [t]
-    chain = _laplacian_chain(t)
-    table = _trace_decomp_solver(metric.key(), p)
-    return [from_symbol(_harmonic(chain[q:], coeffs, metric), metric,
-                        p - 2 * q, weight=t.weight)
-            for q, coeffs in enumerate(table)]
+def harmonic_parts(P, metric, p):
+    """sigma(S0), sigma(U1), .. of S = S0 + g.U1 + g^2.U2 + .., one at a
+    time, for the degree-p symbol P = sigma(S): the harmonic parts of the
+    Fischer decomposition.  Part q is sum_j c_j Q^j Delta_xi^(q+j) P, by
+    Horner's rule in Q.  The parts commute with raising indices."""
+    chain = [P]
+    for _ in range(p // 2):
+        chain.append(xi_laplacian(chain[-1], metric))
+    for q, coeffs in enumerate(_trace_decomp_solver(metric.key(), p)):
+        acc = chain[-1].scale(coeffs[-1])
+        for c, L in zip(reversed(coeffs[:-1]), reversed(chain[q:-1])):
+            acc = xi_quadric(acc, metric) + L.scale(c)
+        yield acc
 
 
 def trace_free(t):
     """Trace-free part of a symmetric tensor."""
-    if t.rank < 2:
-        return t
-    coeffs = _trace_decomp_solver(t.metric.key(), t.rank)[0]
-    return from_symbol(_harmonic(_laplacian_chain(t), coeffs, t.metric),
+    return from_symbol(next(harmonic_parts(symbol(t), t.metric, t.rank)),
                        t.metric, t.rank, weight=t.weight)
 
 

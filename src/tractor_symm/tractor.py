@@ -429,36 +429,39 @@ def contract(t1, t2):
     """Full contraction of all slots of t1 against the leading slots of t2.
 
     Slot kinds must match pairwise; standard slots are paired through the
-    tractor metric, form slots through the induced full-index pairing and
-    covector slots through the inverse base metric.
+    tractor metric h, form slots through the induced full-index pairing W
+    and covector slots through the inverse base metric.  Each row of h, W
+    and the base metric has exactly one nonzero, so each component of t1
+    meets one index tuple of t2's leading slots: the work is linear in
+    the components.
     """
     metric = t1.metric
     k = len(t1.slots)
     if t2.slots[:k] != t1.slots:
         raise ValueError(f"contracting {t1.slots} against {t2.slots}")
-    h = hmat(metric)
-    W = _pair_W(metric.key())
+    n = metric.n
+    by_kind = {SlotKind.STD: hmat(metric),
+               SlotKind.FORM: _pair_W(metric.key()),
+               SlotKind.VEC: [[metric.g(a, b) for b in range(n)]
+                              for a in range(n)]}
+    # per slot, row a -> (b, M[a][b]) for its one nonzero
+    partners = [[next((b, v) for b, v in enumerate(row) if v)
+                 for row in by_kind[kind]] for kind in t1.slots]
+    lead = {}
+    for i2, p2 in t2.comps.items():
+        lead.setdefault(i2[:k], []).append((i2[k:], p2))
     # an empty operand (a zero section) takes the other's variables
     out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:],
                        nvars=max(t1.nvars(), t2.nvars()))
     for i1, p1 in t1.comps.items():
-        for i2, p2 in t2.comps.items():
-            c = ONE
-            ok = True
-            for s, kind in enumerate(t1.slots):
-                a, b = i1[s], i2[s]
-                if kind == SlotKind.STD:
-                    v = h[a][b]
-                elif kind == SlotKind.FORM:
-                    v = W[a][b]
-                else:
-                    v = metric.eps[a] if a == b else ZERO
-                if not v:
-                    ok = False
-                    break
-                c *= v
-            if ok:
-                out.add_to(i2[k:], (p1 * p2).scale(c))
+        c = ONE
+        key = []
+        for a, part in zip(i1, partners):
+            b, v = part[a]
+            key.append(b)
+            c *= v
+        for rest, p2 in lead.get(tuple(key), ()):
+            out.add_to(rest, (p1 * p2).scale(c))
     return out
 
 

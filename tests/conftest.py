@@ -5,7 +5,7 @@ import pytest
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric
+from tractor_symm.tensor import Metric, SymTensor, multisets, nord
 from tractor_symm import ckt
 
 
@@ -51,3 +51,44 @@ def random_poly(n, degree, rng, span=4):
 @pytest.fixture
 def rng():
     return random.Random(7)
+
+
+# index-form oracles for the symbol calculus, apart from it
+
+
+def trace(t):
+    """Contract two symmetric slots with the inverse metric."""
+    metric = t.metric
+    if t.rank < 2:
+        raise ValueError(f"trace of a rank-{t.rank} tensor")
+    out = SymTensor(metric, t.rank - 2, weight=t.weight)
+    for m in multisets(metric.n, t.rank - 2):
+        total = Poly.zero(metric.n)
+        for a in range(metric.n):
+            total = total + t.get(m + (a, a)).scale(metric.eps[a])
+        if not total.is_zero():
+            out.comps[m] = total
+    return out
+
+
+def g_odot(t):
+    """Symmetrized product g . t (rank goes up by two).
+
+    Of the nord(m) orderings of m, nord(m - {a, a}) start with the pair
+    (a, a); only those see a nonzero metric entry.
+    """
+    metric = t.metric
+    out = SymTensor(metric, t.rank + 2, weight=t.weight)
+    for m in multisets(metric.n, t.rank + 2):
+        total = Poly.zero(metric.n)
+        for a in sorted(set(m)):
+            if m.count(a) < 2:
+                continue
+            rest = list(m)
+            rest.remove(a)
+            rest.remove(a)
+            rest = tuple(rest)
+            total = total + t.get(rest).scale(metric.eps[a] * nord(rest))
+        if not total.is_zero():
+            out.comps[m] = total.scale(Q(1, nord(m)))
+    return out

@@ -6,11 +6,9 @@ over the rationals (no tolerances anywhere).
 
 import random
 
-import pytest
-
 from tractor_symm.scalars import Q
-from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric, SymTensor, random_tracefree
+from tractor_symm.poly import Poly
+from tractor_symm.tensor import Metric, random_tracefree
 from tractor_symm.diffop import StdOp
 from tractor_symm.tractor import (TractorField, SlotKind, tractor_D,
                                   double_D, fund_D, x_mult, permute_slots,

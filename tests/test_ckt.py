@@ -1,17 +1,16 @@
-import random
 import time
 
 import pytest
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
-from tractor_symm.tensor import Metric, SymTensor, trace
+from tractor_symm.tensor import Metric, SymTensor
 from tractor_symm.tractor import (nabla, TractorField, SlotKind, contract,
                                   double_D, pair_space)
 from tractor_symm import ckt
 from tractor_symm.ckt import CKTLabel, weyl_dim, ckt_apply, grad_sym0
 
-from conftest import solved_basis, random_poly
+from conftest import solved_basis, random_poly, trace
 
 
 MET = Metric.euclidean(3)

@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
-from tractor_symm.tensor import (Metric, SymTensor, trace, trace_free,
-                                 g_odot, decompose_traces, multisets,
+from tractor_symm.tensor import (Metric, SymTensor, trace_free, multisets,
                                  random_tracefree, symbol, from_symbol,
-                                 xi_laplacian, xi_quadric, PairSpace,
-                                 kulkarni_nomizu, pair_metric, weyl_part)
+                                 harmonic_parts, xi_laplacian, xi_quadric,
+                                 xi_raise, xi_dx, PairSpace, kulkarni_nomizu,
+                                 pair_metric, weyl_part)
 from tractor_symm.tractor import hmat
 from tractor_symm.ckt import weyl_dim
 from tractor_symm.algebra import brute_dim_oracle
 from tractor_symm import linalg
+
+from conftest import trace, g_odot
 
 
 def test_metric_trace():
@@ -58,10 +60,12 @@ def _random_tensor(met, rank, rng):
 
 def _check_decomposition(t):
     # trace and g_odot work on indices, apart from the symbol calculus
-    parts = decompose_traces(t)
-    rebuilt = SymTensor.zero(t.metric, t.rank)
+    met, p = t.metric, t.rank
+    parts = [from_symbol(h, met, p - 2 * q)
+             for q, h in enumerate(harmonic_parts(symbol(t), met, p))]
+    assert len(parts) == p // 2 + 1
+    rebuilt = SymTensor.zero(met, p)
     for q, u in enumerate(parts):
-        assert u.rank == t.rank - 2 * q
         assert u.rank < 2 or trace(u).is_zero()
         emb = u
         for _ in range(q):
@@ -69,6 +73,10 @@ def _check_decomposition(t):
         rebuilt = rebuilt + emb
     assert rebuilt == t
     assert trace_free(t) == parts[0]
+    # the parts commute with raising indices
+    up = list(harmonic_parts(xi_raise(symbol(t), met), met, p))
+    assert [from_symbol(xi_raise(h, met), met, p - 2 * q)
+            for q, h in enumerate(up)] == parts
 
 
 @settings(max_examples=20, deadline=None)
@@ -93,9 +101,31 @@ def test_symbol_calculus_matches_indices(sig):
 def test_trace_decomposition_rank10():
     t = _random_tensor(Metric.euclidean(3), 10, random.Random(10))
     start = time.perf_counter()
-    decompose_traces(t)
+    list(harmonic_parts(symbol(t), t.metric, t.rank))
     assert time.perf_counter() - start < 5
     _check_decomposition(t)
+
+
+def test_trace_rejects_rank_below_two():
+    with pytest.raises(ValueError, match="rank-1"):
+        trace(SymTensor(Metric(3, 0), 1))
+
+
+def test_xi_dx_is_symmetrized_gradient():
+    # (xi . d_x) sigma(S) = sigma of the symmetrized gradient, in indices
+    met = Metric.euclidean(3)
+    n = met.n
+    rng = random.Random(5)
+    t = SymTensor(met, 2)
+    for m in multisets(n, 2):
+        t.add_to(m, Poly(n, {e: Q(rng.randint(-3, 3))
+                              for e in ((2, 0, 1), (0, 1, 1), (1, 0, 0))}))
+    want = SymTensor(met, 3)
+    for m in multisets(n, 3):
+        # (1/3) sum over the three choices of the derivative slot
+        want.add_to(m, sum((t.get(m[:i] + m[i + 1:]).diff(m[i])
+                            for i in range(3)), Poly.zero(n)).scale(Q(1, 3)))
+    assert from_symbol(xi_dx(symbol(t), n), met, 3) == want
 
 
 def test_random_tracefree_is_tracefree():

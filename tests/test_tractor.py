@@ -1,16 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
 from tractor_symm.scalars import Q
-from tractor_symm.poly import Poly, monomials_up_to_degree
+from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric
-from tractor_symm.tractor import (TractorField, SlotKind, nabla, laplacian,
-                                  tractor_D, double_D, double_D2, fund_D,
-                                  fund_D2, casimir, x_mult, hsharp, contract,
-                                  permute_slots, hmat, pair_space,
-                                  parallel_extend)
-from tractor_symm import ckt
+from tractor_symm.tractor import (TractorField, SlotKind, nabla, tractor_D,
+                                  double_D, fund_D, casimir, x_mult,
+                                  contract, permute_slots, hmat, pair_space,
+                                  parallel_extend, _pair_W)
 
 from conftest import random_poly
 
@@ -65,7 +64,6 @@ def test_tractor_D_on_density():
 
 def test_double_D_squared_trace(rng):
     # D^A D_A = -2w(n+w) on densities
-    from tractor_symm.tractor import _pair_W
     Wm = _pair_W(MET.key())
     for w in (Q(0), Q(2), Q(-1, 2), Q(3)):
         f = random_poly(N, 3, rng)
@@ -152,9 +150,56 @@ def test_contract_density():
     a = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
     b = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
     v = contract(a, b).get(())
-    from tractor_symm.tractor import _pair_W
     Wm = _pair_W(MET.key())
     assert v == Poly.const(N, Wm[0][0])
+
+
+def contract_pairs(t1, t2):
+    """The pair loop: every pair of components, slot by slot through h,
+    W or the base metric; an oracle for contract."""
+    metric = t1.metric
+    k = len(t1.slots)
+    h, Wm = hmat(metric), _pair_W(metric.key())
+    out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:],
+                       nvars=max(t1.nvars(), t2.nvars()))
+    for i1, p1 in t1.comps.items():
+        for i2, p2 in t2.comps.items():
+            c = Q(1)
+            for s, kind in enumerate(t1.slots):
+                a, b = i1[s], i2[s]
+                if kind == SlotKind.STD:
+                    c *= h[a][b]
+                elif kind == SlotKind.FORM:
+                    c *= Wm[a][b]
+                else:
+                    c *= metric.g(a, b)
+            if c:
+                out.add_to(i2[k:], (p1 * p2).scale(c))
+    return out
+
+
+def _random_field(metric, slots, rng, density):
+    n = metric.n
+    dims = {SlotKind.STD: n + 2, SlotKind.FORM: pair_space(n).npairs(),
+            SlotKind.VEC: n}
+    t = TractorField(metric, Q(1), slots)
+    for idx in product(*(range(dims[s]) for s in slots)):
+        if rng.random() < density:
+            t.add_to(idx, random_poly(n, 1, rng))
+    return t
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_contract_matches_pair_loop(sig):
+    metric = Metric(*sig)
+    rng = random.Random(10 * sig[0] + sig[1])
+    slots = (SlotKind.STD, SlotKind.FORM, SlotKind.VEC)
+    t1 = _random_field(metric, slots, rng, 0.3)
+    for tail in ((), (SlotKind.STD,), (SlotKind.FORM, SlotKind.VEC)):
+        t2 = _random_field(metric, slots + tail, rng, 0.3)
+        got = contract(t1, t2)
+        assert not got.is_zero()
+        assert got == contract_pairs(t1, t2)
 
 
 def test_add_rejects_other_slots_or_weight():
