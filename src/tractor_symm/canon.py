@@ -339,8 +339,10 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
         rdeg = r - q2
         phi = random_tracefree(metric, rank, 2 * r + 2, rng)
         by_order = None  # release the previous symbol before composing
+        # the xi-degrees o read below come from |gamma| = r - q2 + 1 + q
         by_order = by_xi_degree(
-            compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw()), n)
+            compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw(),
+                        levels=range(r - q2 + 1, 2 * r - q2 + 2)), n)
         for q in range(r + 1):
             R = k - q - 1
             s = r + q - q2 + 1

@@ -19,9 +19,9 @@ decomposition.  A SymTensor is built only for ``coeff``, ``from_coeff``
 and serialization.
 """
 
-from operator import add
+from operator import lshift
 
-from .scalars import Q, qparse
+from .scalars import qparse
 from .poly import Poly
 from .tensor import (Metric, SymTensor, symbol, from_symbol, xi_raise,
                      xi_quadric, harmonic_parts, comps_to_json)
@@ -184,7 +184,7 @@ class StdOp:
         return "StdOp(" + (" + ".join(bits) or "0") + ")"
 
 
-def compose_raw(a, b):
+def compose_raw(a, b, levels=None):
     """Symbol of the composition a after b of two symbols.
 
     a#b = sum_gamma (d_xi^gamma a)(d_x^gamma b) / gamma!.  gamma is
@@ -192,41 +192,76 @@ def compose_raw(a, b):
     every multi-index is reached once, from its parent by one derivative
     of each side: d_xi of (d_xi^gamma a) / gamma!, which carries the
     factorial, and d_x of d_x^gamma b.  A branch ends where either side
-    vanishes, so S after Delta^k stops at gamma = 0.  Products are summed
-    in place into one term dict.
+    vanishes, so S after Delta^k stops at gamma = 0.
+
+    The walk runs on integers: a and b as numerators over their shared
+    denominators D_a and D_b (``Poly.numerators``).  d_xi^gamma / gamma!
+    sends x^b xi^e to prod_i C(e_i, gamma_i) x^b xi^(e - gamma), so it
+    keeps integer numerators integral and each step's 1/m is an exact
+    ``// m``.  An exponent tuple is packed into one int, w bits an entry
+    with 2^w above every exponent of a#b, so the exponent of a product is
+    one addition.  Products are summed in place into one dict of
+    integers, divided by D_a D_b once per output term.  ``levels``, a
+    range of |gamma|, keeps only the products at those levels and
+    descends no further than its top; the default walks every level.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"symbols in {a.nvars} and {b.nvars} variables")
     n = a.nvars // 2
+    na, den_a = a.numerators()
+    nb, den_b = b.numerators()
+    w = (a.degree() + b.degree() + 1).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, 2 * n * w, w)
+    if levels is None:
+        levels = range(a.degree() + 1)
+    top = levels[-1] if levels else 0
     out = {}
 
-    def walk(da, db, last, g):
+    def walk(da, db, last, g, depth):
         # da = d_xi^gamma a / gamma!, db = d_x^gamma b; g = gamma[last]
-        for e1, c1 in da.terms.items():
-            for e2, c2 in db.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                    continue
-                s += c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        if depth in levels:
+            for e1, c1 in da.items():
+                for e2, c2 in db.items():
+                    e = e1 + e2
+                    s = out.get(e)
+                    if s is None:
+                        out[e] = c1 * c2
+                        continue
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        if depth == top:
+            return
         for i in range(last, n):
             m = g + 1 if i == last else 1
-            db2 = db.diff(i)
-            if db2.is_zero():
+            db2 = _diff(db, shifts[i], mask, 1)
+            if not db2:
                 continue
-            da2 = da.diff(n + i)
-            if da2.is_zero():
-                continue
-            walk(da2 if m == 1 else da2.scale(Q(1, m)), db2, i, m)
+            da2 = _diff(da, shifts[n + i], mask, m)
+            if da2:
+                walk(da2, db2, i, m, depth + 1)
 
-    walk(a, b, 0, 0)
+    walk({sum(map(lshift, e, shifts)): c for e, c in na.items()},
+         {sum(map(lshift, e, shifts)): c for e, c in nb.items()}, 0, 0, 0)
     del walk  # its cell refers to walk: without this, out lives until gc
-    return Poly.wrap(a.nvars, out)
+    return Poly.from_numerators(
+        a.nvars, {tuple(e >> s & mask for s in shifts): c
+                  for e, c in out.items()}, den_a * den_b)
+
+
+def _diff(nums, s, mask, m):
+    """d/dx of packed integer numerators in the entry at bit s, divided
+    by m, which must divide every coefficient of the result."""
+    one = 1 << s
+    out = {}
+    for e, c in nums.items():
+        k = e >> s & mask
+        if k:
+            out[e - one] = c * k // m
+    return out
 
 
 def apply_raw(raw, f):

@@ -3,7 +3,11 @@
 A polynomial in ``nvars`` variables x1..xn is a dict mapping exponent
 tuples to nonzero scalars.  Only the handful of operations the operator
 calculus needs are provided: ring arithmetic and partial derivatives.
+The symbol kernels walk a Poly as integer numerators over one shared
+denominator (``numerators`` / ``from_numerators``).
 """
+
+from math import lcm
 
 from .scalars import Q, ZERO, qstr
 
@@ -50,11 +54,24 @@ class Poly:
         return p
 
     @classmethod
+    def from_numerators(cls, nvars, nums, den):
+        """The Poly with terms nums[e] / den, from integer numerators;
+        zero numerators are dropped."""
+        return cls.wrap(nvars, {e: Q(c, den) for e, c in nums.items() if c})
+
+    @classmethod
     def var(cls, nvars, i):
         """The coordinate function x_{i+1}."""
         e = [0] * nvars
         e[i] = 1
         return cls.monomial(nvars, e)
+
+    def numerators(self):
+        """(nums, den): the integer numerators of the terms over den, the
+        lcm of their denominators; from_numerators inverts it."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return {e: c.numerator * (den // c.denominator)
+                for e, c in self.terms.items()}, den
 
     # -- predicates -----------------------------------------------------
 
@@ -83,11 +100,15 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         p = Poly(self.nvars)
         p.terms = out
         return p

@@ -28,7 +28,7 @@ an orthogonal projection in every signature: no linear system is solved.
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 from .scalars import Q, ZERO, ONE, qstr
 from .poly import Poly
@@ -220,42 +220,57 @@ def _moved(e, i, d):
     return e[:i] + (e[i] + d,) + e[i + 1:]
 
 
-def _xi_map(P, n, images):
+def _xi_nums(nums, n, images):
     """The linear map sending x^b xi^e to sum_{(f, k) in images(e)}
     k x^b xi^f, for integers k, where e is the exponent from entry n on
-    (all of it for n = 0); images runs once per e."""
+    (all of it for n = 0), on a dict of integer numerators; images runs
+    once per e."""
     table = {}
     out = {}
-    for e, c in P.terms.items():
+    for e, c in nums.items():
         ex, bx = e[n:], e[:n]
         if ex not in table:
             table[ex] = images(ex)
         for f, k in table[ex]:
             key = bx + f
-            v = c if k == 1 else (-c if k == -1 else c * k)
             s = out.get(key)
             if s is None:
-                out[key] = v
+                out[key] = c * k
             else:
-                s += v
+                s += c * k
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-    return Poly.wrap(P.nvars, out)
+    return out
+
+
+def _xi_map(P, n, images):
+    """``_xi_nums`` on a Poly: it runs on P's integer numerators
+    (``Poly.numerators``) and divides by their denominator once per
+    output term."""
+    nums, den = P.numerators()
+    return Poly.from_numerators(P.nvars, _xi_nums(nums, n, images), den)
+
+
+def _laplacian_images(metric):
+    return lambda ex: [(_moved(ex, a, -2), int(metric.eps[a]) * k * (k - 1))
+                       for a, k in enumerate(ex) if k >= 2]
+
+
+def _quadric_images(metric):
+    return lambda ex: [(_moved(ex, a, 2), int(metric.eps[a]))
+                       for a in range(len(ex))]
 
 
 def xi_laplacian(P, metric):
     """Delta_xi P = sum_a eps_a d^2 P / dxi_a^2."""
-    return _xi_map(P, metric.n, lambda ex: [
-        (_moved(ex, a, -2), int(metric.eps[a]) * k * (k - 1))
-        for a, k in enumerate(ex) if k >= 2])
+    return _xi_map(P, metric.n, _laplacian_images(metric))
 
 
 def xi_quadric(P, metric):
     """Q P with the quadric Q = sum_a eps_a xi_a^2."""
-    return _xi_map(P, metric.n, lambda ex: [
-        (_moved(ex, a, 2), int(metric.eps[a])) for a in range(len(ex))])
+    return _xi_map(P, metric.n, _quadric_images(metric))
 
 
 def xi_reduce(P, metric):
@@ -293,8 +308,9 @@ def _trace_decomp_solver(sig, p):
     is the harmonic projection of a degree-d symbol and N_q =
     prod_{i=1..q} 2i (n + 2d + 2i - 2) is the factor by which
     Delta_xi^q (Q^q h) exceeds h for harmonic h of degree d.  Then
-    sigma(U_q) = Harm_d(Delta_xi^q sigma(S)) / N_q.  (perfbench reads
-    this function's cache_info under this name.)
+    sigma(U_q) = Harm_d(Delta_xi^q sigma(S)) / N_q.  Entry q is (u, w):
+    the integers u_j = c_j w over w, the lcm of the denominators of the
+    c_j.  (perfbench reads this function's cache_info under this name.)
     """
     n = sum(sig)
     table = []
@@ -306,7 +322,8 @@ def _trace_decomp_solver(sig, p):
         a = [ONE / norm]
         for j in range(1, d // 2 + 1):
             a.append(-a[-1] / (2 * j * (n + 2 * d - 2 * j - 2)))
-        table.append(a)
+        w = lcm(*(c.denominator for c in a))
+        table.append(([c.numerator * (w // c.denominator) for c in a], w))
     return table
 
 
@@ -314,15 +331,26 @@ def harmonic_parts(P, metric, p):
     """sigma(S0), sigma(U1), .. of S = S0 + g.U1 + g^2.U2 + .., one at a
     time, for the degree-p symbol P = sigma(S): the harmonic parts of the
     Fischer decomposition.  Part q is sum_j c_j Q^j Delta_xi^(q+j) P, by
-    Horner's rule in Q.  The parts commute with raising indices."""
-    chain = [P]
+    Horner's rule in Q.  The parts commute with raising indices.  The
+    Laplacian chain and Horner's rule run on P's integer numerators over
+    den, with c_j = u_j / w; part q is divided by den * w once per term."""
+    n = metric.n
+    lap, quad = _laplacian_images(metric), _quadric_images(metric)
+    nums, den = P.numerators()
+    chain = [nums]
     for _ in range(p // 2):
-        chain.append(xi_laplacian(chain[-1], metric))
-    for q, coeffs in enumerate(_trace_decomp_solver(metric.key(), p)):
-        acc = chain[-1].scale(coeffs[-1])
-        for c, L in zip(reversed(coeffs[:-1]), reversed(chain[q:-1])):
-            acc = xi_quadric(acc, metric) + L.scale(c)
-        yield acc
+        chain.append(_xi_nums(chain[-1], n, lap))
+    for q, (u, w) in enumerate(_trace_decomp_solver(metric.key(), p)):
+        acc = {e: c * u[-1] for e, c in chain[-1].items()}
+        for k, L in zip(reversed(u[:-1]), reversed(chain[q:-1])):
+            acc = _xi_nums(acc, n, quad)
+            for e, c in L.items():
+                s = acc.get(e, 0) + c * k
+                if s:
+                    acc[e] = s
+                else:
+                    acc.pop(e, None)
+        yield Poly.from_numerators(P.nvars, acc, den * w)
 
 
 def trace_free(t):

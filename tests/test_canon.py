@@ -122,6 +122,12 @@ def test_extract_constraint_matrix_k2():
     assert M == canon.c_matrix(2, 0)
 
 
+def test_extract_constraint_matrix_k5():
+    # the largest worked case: five constraint levels of Delta^5
+    M = canon.extract_constraint_matrix(5, 0, 4)
+    assert M == canon.c_matrix(5, 0)
+
+
 _WRONG_C_SCALAR = """
 import sys
 from tractor_symm import canon

@@ -128,6 +128,19 @@ def test_split_time_bound():
     assert ckt.extract(I, label) == phi
 
 
+def test_split_time_bound_02():
+    # a cold (0,2) split on E^3: 55 solutions, plan included
+    label = CKTLabel(0, 2)
+    basis = solved_basis(3, 0, 2)
+    assert len(basis) == weyl_dim(3, 0, 2) == 55
+    phi = basis[30]
+    ckt._split_plan.cache_clear()
+    start = time.perf_counter()
+    I = ckt.split(phi, label)
+    assert time.perf_counter() - start < 1
+    assert ckt.extract(I, label) == phi
+
+
 def test_lie_derivative_matches_transport(rng):
     # I_phi-contraction of the double-D is the Lie derivative on densities
     for w in (Q(2), Q(-1, 2)):

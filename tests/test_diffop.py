@@ -1,5 +1,8 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import factorial, prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +178,81 @@ def test_compose_associative_on_action(seed):
                  for e in monomials_up_to_degree(3, 3)})
     assert ab(f) == a(b(f))
     assert ba(f) == b(a(f))
+
+
+def _falling(k, g):
+    """k (k-1) .. (k-g+1): d^g x^k = _falling(k, g) x^(k-g)."""
+    out = 1
+    for i in range(g):
+        out *= k - i
+    return out
+
+
+def _compose_oracle(a, b, levels=None):
+    """sum_gamma (d_xi^gamma a)(d_x^gamma b) / gamma! over every
+    multi-index gamma with |gamma| <= deg_xi a (in ``levels``, if given),
+    term by term in Fractions: no walk, no shared denominator."""
+    n = a.nvars // 2
+    top = max((sum(e[n:]) for e in a.terms), default=0)
+    out = {}
+    for gamma in product(range(top + 1), repeat=n):
+        if sum(gamma) > top or (levels is not None
+                                and sum(gamma) not in levels):
+            continue
+        fact = prod(factorial(g) for g in gamma)
+        for e1, c1 in a.terms.items():
+            w1 = prod(_falling(e1[n + i], g) for i, g in enumerate(gamma))
+            if not w1:
+                continue
+            f1 = e1[:n] + tuple(k - g for k, g in zip(e1[n:], gamma))
+            for e2, c2 in b.terms.items():
+                w2 = prod(_falling(e2[i], g) for i, g in enumerate(gamma))
+                if not w2:
+                    continue
+                f2 = tuple(k - g for k, g in zip(e2[:n], gamma)) + e2[n:]
+                e = tuple(map(add, f1, f2))
+                out[e] = out.get(e, 0) + (Fraction(c1) * Fraction(c2)
+                                          * w1 * w2 / fact)
+    return {e: c for e, c in out.items() if c}
+
+
+def _rational_symbol(met, rng, degree):
+    """A random symbol in (x, xi) of total degree <= degree whose terms
+    mix x and xi, with denominators 2, 3 and 7, plus the raw form of a
+    random operator on ``met``."""
+    terms = {e: Q(rng.randint(-9, 9), rng.choice((2, 3, 7)))
+             for e in monomials_up_to_degree(2 * met.n, degree)
+             if rng.random() < 0.3}
+    return Poly(2 * met.n, terms) + _random_op(met, rng).to_raw()
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_compose_raw_matches_oracle(sig):
+    met = Metric(*sig)
+    rng = random.Random(sum(sig) + 31)
+    for _ in range(3):
+        a, b = _rational_symbol(met, rng, 4), _rational_symbol(met, rng, 4)
+        assert any(sum(e[:met.n]) and sum(e[met.n:]) >= 2 for e in a.terms)
+        got = compose_raw(a, b)
+        assert got.terms == _compose_oracle(a, b)
+        assert all(type(c) is Q for c in got.terms.values())
+        # sigma(Delta^2) # b: the case the constraint extraction composes
+        lap = StdOp.laplacian_power(met, 2).to_raw()
+        assert compose_raw(lap, b).terms == _compose_oracle(lap, b)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_compose_raw_levels(sig):
+    # levels keeps exactly the products at those |gamma|
+    met = Metric(*sig)
+    rng = random.Random(sum(sig) + 47)
+    a, b = _rational_symbol(met, rng, 4), _rational_symbol(met, rng, 4)
+    for levels in (range(1), range(1, 3), range(2, 3), range(3, 5),
+                   range(6, 8), range(0)):
+        got = compose_raw(a, b, levels=levels)
+        assert got.terms == _compose_oracle(a, b, levels)
+        assert all(type(c) is Q for c in got.terms.values())
+    # the levels partition the full walk
+    parts = [compose_raw(a, b, levels=range(g, g + 1))
+             for g in range(a.degree() + 1)]
+    assert sum(parts, Poly.zero(a.nvars)) == compose_raw(a, b)

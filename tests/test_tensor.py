@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
-from tractor_symm.poly import Poly
+from tractor_symm.poly import Poly, monomials_up_to_degree
 from tractor_symm.tensor import (Metric, SymTensor, trace_free, multisets,
                                  random_tracefree, symbol, from_symbol,
                                  harmonic_parts, xi_laplacian, xi_quadric,
-                                 xi_raise, xi_dx, PairSpace, kulkarni_nomizu,
+                                 xi_raise, xi_dx, xi_reduce, PairSpace, kulkarni_nomizu,
                                  pair_metric, weyl_part)
 from tractor_symm.tractor import hmat
 from tractor_symm.ckt import weyl_dim
@@ -51,10 +51,17 @@ def test_trace_free_indefinite():
     assert trace(tf).is_zero()
 
 
-def _random_tensor(met, rank, rng):
+def _scalar(rng, span, dens):
+    """A random integer in -span..span, over a denominator drawn from
+    dens when dens is given."""
+    c = rng.randint(-span, span)
+    return Q(c, rng.choice(dens)) if dens else Q(c)
+
+
+def _random_tensor(met, rank, rng, dens=None):
     t = SymTensor(met, rank)
     for m in multisets(met.n, rank):
-        t.add_to(m, Poly.const(met.n, Q(rng.randint(-3, 3))))
+        t.add_to(m, Poly.const(met.n, _scalar(rng, 3, dens)))
     return t
 
 
@@ -89,13 +96,35 @@ def test_trace_decomposition_roundtrip(seed, rank, sig):
 
 @pytest.mark.parametrize("sig", [(3, 0), (2, 1), (1, 3)])
 def test_symbol_calculus_matches_indices(sig):
-    # sigma(tr S) = Delta_xi sigma(S) / p(p-1) and sigma(g . S) = Q sigma(S)
+    # sigma(tr S) = Delta_xi sigma(S) / p(p-1) and sigma(g . S) = Q sigma(S),
+    # on integer entries and on entries over 2, 3 and 7
     met = Metric(*sig)
-    t = _random_tensor(met, 4, random.Random(sum(sig)))
-    assert from_symbol(symbol(t), met, 4) == t
-    lap = xi_laplacian(symbol(t), met).scale(Q(1, 12))
-    assert from_symbol(lap, met, 2) == trace(t)
-    assert from_symbol(xi_quadric(symbol(t), met), met, 6) == g_odot(t)
+    for dens in (None, (2, 3, 7)):
+        t = _random_tensor(met, 4, random.Random(sum(sig)), dens)
+        assert from_symbol(symbol(t), met, 4) == t
+        lap = xi_laplacian(symbol(t), met).scale(Q(1, 12))
+        assert from_symbol(lap, met, 2) == trace(t)
+        assert from_symbol(xi_quadric(symbol(t), met), met, 6) == g_odot(t)
+        _check_decomposition(t)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (1, 2)])
+def test_xi_reduce_is_remainder_mod_quadric(sig):
+    # xi_reduce(S + Q R) = S for S of degree < 2 in xi_1, with the
+    # quadric Q as a Poly product, apart from the xi maps
+    met = Metric(*sig)
+    n = met.n
+    rng = random.Random(sum(sig) + 5)
+    quadric = Poly(2 * n, {tuple(2 if i == n + a else 0
+                                 for i in range(2 * n)): met.eps[a]
+                           for a in range(n)})
+    for dens in (None, (2, 3, 7)):
+        S, R = (Poly(2 * n, {e: _scalar(rng, 9, dens)
+                             for e in monomials_up_to_degree(2 * n, 4)
+                             if e[n] < 2 or not low})
+                for low in (True, False))
+        assert xi_reduce(S + quadric * R, met) == S
+        assert xi_reduce(S, met) == S
 
 
 def test_trace_decomposition_rank10():
@@ -113,19 +142,22 @@ def test_trace_rejects_rank_below_two():
 
 def test_xi_dx_is_symmetrized_gradient():
     # (xi . d_x) sigma(S) = sigma of the symmetrized gradient, in indices
+    # on integer entries and on entries over 2, 3 and 7
     met = Metric.euclidean(3)
     n = met.n
-    rng = random.Random(5)
-    t = SymTensor(met, 2)
-    for m in multisets(n, 2):
-        t.add_to(m, Poly(n, {e: Q(rng.randint(-3, 3))
-                              for e in ((2, 0, 1), (0, 1, 1), (1, 0, 0))}))
-    want = SymTensor(met, 3)
-    for m in multisets(n, 3):
-        # (1/3) sum over the three choices of the derivative slot
-        want.add_to(m, sum((t.get(m[:i] + m[i + 1:]).diff(m[i])
-                            for i in range(3)), Poly.zero(n)).scale(Q(1, 3)))
-    assert from_symbol(xi_dx(symbol(t), n), met, 3) == want
+    for dens in (None, (2, 3, 7)):
+        rng = random.Random(5)
+        t = SymTensor(met, 2)
+        for m in multisets(n, 2):
+            t.add_to(m, Poly(n, {e: _scalar(rng, 3, dens) for e in
+                                 ((2, 0, 1), (0, 1, 1), (1, 0, 0))}))
+        want = SymTensor(met, 3)
+        for m in multisets(n, 3):
+            # (1/3) sum over the three choices of the derivative slot
+            want.add_to(m, sum((t.get(m[:i] + m[i + 1:]).diff(m[i])
+                                for i in range(3)),
+                               Poly.zero(n)).scale(Q(1, 3)))
+        assert from_symbol(xi_dx(symbol(t), n), met, 3) == want
 
 
 def test_random_tracefree_is_tracefree():
