@@ -18,7 +18,8 @@ from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
 from .poly import Poly
-from .tensor import Metric, random_tracefree, xi_laplacian, xi_reduce
+from .tensor import (Metric, random_tracefree, symbol, harmonic_parts,
+                     xi_raise, xi_laplacian, xi_reduce, xi_dx)
 from .diffop import (StdOp, OpType, compose_raw, normalize_raw,
                      by_xi_degree)
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
@@ -26,7 +27,7 @@ from .tractor import (TractorField, nabla, laplacian, laplacian_power,
                       x_mult, contract)
 from .linalg import ExactMatrix, det
 from . import ckt
-from .ckt import CKTLabel, CKTError, grad_sym0
+from .ckt import CKTLabel, CKTError
 
 
 class CanonicalSymmetry:
@@ -338,24 +339,33 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
         rank = p + q2
         rdeg = r - q2
         phi = random_tracefree(metric, rank, 2 * r + 2, rng)
-        by_order = None  # release the previous symbol before composing
+        # release the previous symbols before composing
+        by_order = grad = None
         # the xi-degrees o read below come from |gamma| = r - q2 + 1 + q
         by_order = by_xi_degree(
             compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw(),
                         levels=range(r - q2 + 1, 2 * r - q2 + 2)), n)
+        # one chain of symmetrized gradients (xi . d_x)^s sigma(phi)
+        grad = symbol(phi)
+        for _ in range(r - q2):
+            grad = xi_dx(grad, n)
         for q in range(r + 1):
             R = k - q - 1
             s = r + q - q2 + 1
             o = p + r + 2 * k - q - 1
-            part = Poly.wrap(2 * n, by_order.get(o, {}))
+            # each xi-degree is read once: pop releases it
+            part = Poly.wrap(2 * n, by_order.pop(o, {}))
             for _ in range(R):
                 part = xi_laplacian(part, metric)
             lhs = xi_reduce(part, metric)
-            oracle = grad_sym0(phi, s)
+            grad = xi_dx(grad, n)
+            # sigma of the trace-free part of nabla^s phi
+            oracle = next(harmonic_parts(grad, metric, rank + s))
             if oracle.is_zero():
                 raise CKTError("degenerate sample; re-run with a new seed")
             # symbol of oracle . nabla^s Delta^R
-            probe = StdOp.from_coeff(oracle, R).to_raw()
+            probe = StdOp(metric, {OpType(rank + s, R):
+                                   xi_raise(oracle, metric)}).to_raw()
             for _ in range(R):
                 probe = xi_laplacian(probe, metric)
             probe = xi_reduce(probe, metric)

@@ -8,9 +8,10 @@ equivalent formulation
     sym(nabla^{2r+1} phi) = sym(g . rho)
 
 with an auxiliary symmetric tensor rho, which keeps the linear systems
-sparse and integral.  The dimension of the full solution space is checked
-against the Weyl dimension formula for so(n+2) with highest weight
-(2r+p, p, 0, ...).
+sparse and integral.  The equations commute with d_a, so an empty degree
+is followed only by empty ones and the solver stops at the first.  The
+dimension of the full solution space is checked against the Weyl
+dimension formula for so(n+2) with highest weight (2r+p, p, 0, ...).
 
 The splitting operator embeds a solution as a parallel section of the
 tractor bundle with p skew pairs and 2r symmetric standard slots; it is
@@ -119,28 +120,28 @@ def solve(metric, label):
     list of SymTensors.
 
     Works degree by degree (the equation has constant coefficients, so
-    the solution space is graded).  Stops at the first degree
-    d >= 2(p + 2r) + 2 at which degrees d - 1 and d are empty and the
-    total count matches the Weyl dimension formula; raises CKTError if
-    the count does not match by degree 4(p + 2r) + 8.
+    the solution space is graded) and stops at the first empty degree:
+    d_a maps a degree-d solution (phi, rho) to a degree-(d-1) one, and a
+    homogeneous polynomial of degree >= 1 with zero gradient is zero, so
+    all later degrees are empty too.  Raises CKTError, naming both
+    counts, unless the count equals the Weyl dimension formula, or when
+    no degree up to 4(p + 2r) + 8 is empty.
     """
     p, r = label
     label = CKTLabel(p, r)
     expected = weyl_dim(metric.n, p, r)
-    soft_cap = 2 * (p + 2 * r) + 2
-    hard_cap = 2 * soft_cap + 4
     sols = []
-    empty_run = 0
-    for d in range(hard_cap + 1):
+    for d in range(4 * (p + 2 * r) + 9):
         found = _solve_degree(metric, label, d)
+        if not found:
+            break
         sols.extend(found)
-        empty_run = empty_run + 1 if not found else 0
-        if d >= soft_cap and empty_run >= 2 and len(sols) == expected:
-            return sols
+    else:
+        raise CKTError(f"label {label}: no empty degree up to {d}")
     if len(sols) != expected:
         raise CKTError(
             f"label {label}: found {len(sols)} solutions up to degree "
-            f"{hard_cap}, expected {expected}")
+            f"{d}, expected {expected}")
     return sols
 
 
@@ -209,7 +210,8 @@ def _solve_degree(metric, label, d):
                 if row:
                     rows.append(row)
 
-    basis = linalg.kernel(rows, ncols)
+    # the kernel basis is fixed by the column order; reversed rows fill less
+    basis = linalg.kernel(rows[::-1], ncols)
     out = []
     inv_cols = {v: k for k, v in cols.items()}
     for i, v in enumerate(basis):

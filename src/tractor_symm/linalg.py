@@ -4,9 +4,9 @@ Every rank, kernel and solve goes through one sparse fraction-free
 echelon: a row is a dict from column index to a rational, scaled to
 coprime integers, and a row is reduced against the pivot row of its
 leading column by integer cross-multiplication.  The systems met here
-(prolongation, splitting, Young projection) have a few entries per row,
-so the work follows the nonzeros.  ``det`` is separate: dense
-elimination on the small square C-matrices.
+(the CKT prolongation, the splitting and ``algebra.brute_dim_oracle``)
+have a few entries per row, so the work follows the nonzeros.  ``det``
+is separate: dense elimination on the small square C-matrices.
 """
 
 from math import gcd, lcm

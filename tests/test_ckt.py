@@ -7,7 +7,7 @@ from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric, SymTensor
 from tractor_symm.tractor import (nabla, TractorField, SlotKind, contract,
                                   double_D, pair_space)
-from tractor_symm import ckt
+from tractor_symm import ckt, cli
 from tractor_symm.ckt import CKTLabel, weyl_dim, ckt_apply, grad_sym0
 
 from conftest import solved_basis, random_poly, trace
@@ -17,11 +17,62 @@ MET = Metric.euclidean(3)
 N = 3
 
 
-@pytest.mark.parametrize("label,dim", [
-    ((0, 0), 1), ((1, 0), 10), ((2, 0), 35), ((0, 1), 14), ((1, 1), 81)])
+DIMS_N3 = [((0, 0), 1), ((1, 0), 10), ((2, 0), 35), ((0, 1), 14),
+           ((1, 1), 81)]
+
+
+@pytest.mark.parametrize("label,dim", DIMS_N3)
 def test_dimensions_n3(label, dim):
     assert weyl_dim(3, *label) == dim
     assert len(solved_basis(3, *label)) == dim
+
+
+@pytest.mark.parametrize("sig,label", [((3, 0), lab) for lab, _ in DIMS_N3]
+                         + [((2, 1), (1, 1)), ((4, 0), (1, 0)),
+                            ((4, 0), (2, 0))], ids=str)
+def test_empty_degree_stays_empty(sig, label):
+    # d_a maps degree-d solutions to degree-(d-1) ones, so the degree
+    # after the first empty one is empty as well
+    metric, label = Metric(*sig), CKTLabel(*label)
+    d = count = 0
+    while found := ckt._solve_degree(metric, label, d):
+        count += len(found)
+        d += 1
+    assert count == weyl_dim(metric.n, *label)
+    assert ckt._solve_degree(metric, label, d) == []
+    assert ckt._solve_degree(metric, label, d + 1) == []
+
+
+def test_solve_count_mismatch(monkeypatch, capsys):
+    # the Weyl dimension stays an independent check of the count
+    monkeypatch.setattr(ckt, "weyl_dim", lambda n, p, r: 11)
+    with pytest.raises(ckt.CKTError,
+                       match="found 10 solutions up to degree 3, expected 11"):
+        ckt.solve(MET, CKTLabel(1, 0))
+    assert cli.main(["ckt", "dim", "--n", "3", "--p", "1", "--r", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: label CKTLabel(1,0): found 10 solutions up to degree 3, "
+        "expected 11"]
+
+
+def test_solve_needs_an_empty_degree(monkeypatch):
+    # reaching the degree cap raises even when the count matches
+    monkeypatch.setattr(ckt, "_solve_degree", lambda metric, label, d: [d])
+    monkeypatch.setattr(ckt, "weyl_dim", lambda n, p, r: 9)
+    with pytest.raises(ckt.CKTError, match="no empty degree up to 8"):
+        ckt.solve(MET, CKTLabel(0, 0))
+
+
+def test_solve_time_bound_n5():
+    # E^5, label (1,1): degrees 0..6 hold 5+25+75+120+75+25+5 solutions
+    start = time.perf_counter()
+    basis = ckt.solve(Metric.euclidean(5), CKTLabel(1, 1))
+    assert time.perf_counter() - start < 1.0
+    assert len(basis) == 330
+    for phi in basis[::33] + basis[-1:]:
+        assert ckt_apply(phi, 1).is_zero()
 
 
 def test_killing_field_is_solution():
