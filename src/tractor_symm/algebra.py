@@ -13,7 +13,11 @@ A parallel adjoint tractor is the ``TractorField`` with one form slot
 that ``ckt.split(phi, CKTLabel(1, 0))`` returns; the four products take
 two of them and return a ``TractorField`` (the bracket one with a form
 slot, the bullet one with two standard slots, boxtimes one with two form
-slots) or, for the pairing, a rational number.
+slots) or, for the pairing, a rational number.  The bracket, bullet and
+pairing contract one index through the tractor metric h, and all three
+are read off one matrix M = M_I h M_J (``contracted_products``); h is
+the signed involution of ``tensor.tractor_metric``, so M is a walk over
+the nonzeros of I and J.
 """
 
 from itertools import combinations_with_replacement
@@ -21,9 +25,10 @@ from itertools import combinations_with_replacement
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
 from .tensor import (Metric, SymTensor, kulkarni_nomizu, ricci, weyl_part,
-                     symbol, from_symbol, harmonic_parts)
-from .tractor import (TractorField, SlotKind, pair_space, hmat, contract,
-                      fund_D2, tractor_D, x_mult)
+                     symbol, from_symbol, harmonic_parts, tractor_metric,
+                     pair_involution)
+from .tractor import (TractorField, SlotKind, pair_space, fund_D2, tractor_D,
+                      x_mult)
 from . import ckt, linalg
 from .ckt import CKTLabel, CKTError, weyl_dim
 from .canon import CanonicalSymmetry
@@ -47,75 +52,77 @@ def _form_matrix(field):
 
 
 def _product_matrix(I, J):
-    """M[A][B] = sum_{P,Q} I^{AP} h_{PQ} J^{QB} as Poly entries."""
-    n = I.metric.n
-    N = n + 2
-    h = hmat(I.metric)
-    MI = _form_matrix(I)
-    MJ = _form_matrix(J)
-    zero = Poly.zero(n)
-    out = [[zero] * N for _ in range(N)]
+    """M^A_B = I^{AP} h_{PQ} J^{QB} = sum_P h_P I^{AP} J^{Pbar B}, as
+    {(A, B): Poly}, walked over the nonzeros of I, h and J."""
+    h = tractor_metric(I.metric.key())
+    MI, MJ = _form_matrix(I), _form_matrix(J)
+    N = len(h)
+    out = {}
     for A in range(N):
-        for P in range(N):
-            if MI[A][P].is_zero():
+        for P, a in enumerate(MI[A]):
+            if a.is_zero():
                 continue
-            for Qi in range(N):
-                hv = h[P][Qi]
-                if not hv:
-                    continue
-                for B in range(N):
-                    if MJ[Qi][B].is_zero():
-                        continue
-                    out[A][B] = out[A][B] + (MI[A][P] * MJ[Qi][B]).scale(hv)
+            Pbar, hP = h[P]
+            for B, b in enumerate(MJ[Pbar]):
+                if not b.is_zero():
+                    v = (a * b).scale(hP)
+                    out[A, B] = out[A, B] + v if (A, B) in out else v
     return out
 
 
-def killing(I, J):
-    """Invariant pairing <I,J> = -4n I.J; a rational constant."""
-    n = I.metric.n
-    v = contract(I, J).get(()).scale(-4 * n)
-    if not v.is_constant():
-        raise CKTError(f"pairing of parallel sections is {v}, not constant")
-    return v.constant_value()
+def contracted_products(I, J):
+    """I . J, [I, J] and <I, J>: the products of two parallel adjoint
+    tractors that contract one index, all from one M = M_I h M_J,
 
+        [I, J] = 2 (M - M^t),   I . J = -(4/n) sym_0(M),
+        <I, J> = 4n sum_A h_A M^A_Abar,
 
-def bracket(I, J):
-    """Adjoint-valued product 4 I^{A0 P} J_P^{A1} (form component)."""
+    where sym_0 is the h-trace-free symmetric part; the bullet's sign is
+    that of I^{PB} = -I^{BP}.  The pairing is a rational constant;
+    CKTError if it is not."""
     metric = I.metric
-    ps = pair_space(metric.n)
+    n = metric.n
+    h = tractor_metric(metric.key())
     M = _product_matrix(I, J)
-    out = TractorField(metric, 0, (SlotKind.FORM,))
-    for pi, (a, b) in enumerate(ps.pairs):
-        v = (M[a][b] - M[b][a]).scale(2)  # 4 * skew part
+    zero = Poly.zero(n)
+
+    def m(a, b):
+        return M.get((a, b), zero)
+
+    br = TractorField(metric, 0, (SlotKind.FORM,), {
+        (pi,): (m(a, b) - m(b, a)).scale(2)
+        for pi, (a, b) in enumerate(pair_space(n).pairs)})
+    sym = {(a, b): (m(a, b) + m(b, a)).scale(Q(-1, 2))
+           for a in range(n + 2) for b in range(n + 2)}
+    tr = sum((sym[a, b].scale(ha) for a, (b, ha) in enumerate(h)), zero)
+    bu = TractorField(metric, 0, (SlotKind.STD, SlotKind.STD))
+    for (a, b), v in sym.items():
+        abar, ha = h[a]
+        if b == abar:
+            v = v - tr.scale(Q(ha, n + 2))
+        v = v.scale(Q(4, n))
         if not v.is_zero():
-            out.comps[(pi,)] = v
-    return out
+            bu.comps[(a, b)] = v
+    kl = sum((m(a, b).scale(ha) for a, (b, ha) in enumerate(h)),
+             zero).scale(4 * n)
+    if not kl.is_constant():
+        raise CKTError(f"pairing of parallel sections is {kl}, not constant")
+    return bu, br, kl.constant_value()
 
 
 def bullet(I, J):
     """Symmetric trace-free product (4/n) I^{P(B} J_P^{B')_0."""
-    metric = I.metric
-    n = metric.n
-    N = n + 2
-    h = hmat(metric)
-    M = _product_matrix(I, J)
-    # I^{PB} J_P^{B'} = -M[B][B'] transposed in the first factor:
-    # M uses I^{AP}; I^{PB} = -I^{BP}, so the required matrix is -M.
-    sym = [[(M[a][b] + M[b][a]).scale(Q(-1, 2)) for b in range(N)]
-           for a in range(N)]
-    tr = Poly.zero(n)
-    for a in range(N):
-        for b in range(N):
-            if h[a][b]:
-                tr = tr + sym[a][b].scale(h[a][b])
-    out = TractorField(metric, 0, (SlotKind.STD, SlotKind.STD))
-    for a in range(N):
-        for b in range(N):
-            v = sym[a][b] - tr.scale(Q(h[a][b], N))
-            v = v.scale(Q(4, n))
-            if not v.is_zero():
-                out.comps[(a, b)] = v
-    return out
+    return contracted_products(I, J)[0]
+
+
+def bracket(I, J):
+    """Adjoint-valued product 4 I^{A0 P} J_P^{A1} (form component)."""
+    return contracted_products(I, J)[1]
+
+
+def killing(I, J):
+    """Invariant pairing <I,J> = -4n I.J; a rational constant."""
+    return contracted_products(I, J)[2]
 
 
 def _outer_matrix(I, J):
@@ -135,8 +142,9 @@ def _form2_field(metric, M):
 def boxtimes(I, J):
     """Trace-free Young-(2,2) part of the outer product."""
     metric = I.metric
-    return _form2_field(metric, weyl_part(pair_space(metric.n), hmat(metric),
-                                          _outer_matrix(I, J)))
+    return _form2_field(metric, weyl_part(
+        pair_space(metric.n), tractor_metric(metric.key()),
+        _outer_matrix(I, J)))
 
 
 class ProductDecomp:
@@ -165,17 +173,16 @@ def decompose(I, J):
     n = metric.n
     N = n + 2
     ps = pair_space(n)
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     box = boxtimes(I, J)
-    br = bracket(I, J)
-    bu = bullet(I, J)
-    kl = killing(I, J)
-    S = [[bu.get((a, b)) for b in range(N)] for a in range(N)]
-    parts = ((h, -Q(kl) / (8 * n * (n + 1) * (n + 2))),
-             (_form_matrix(br), Q(-1, 4 * n)), (S, Q(1, 4)))
+    bu, br, kl = contracted_products(I, J)
     res = [[t - box.get((i, j)) for j, t in enumerate(row)]
            for i, row in enumerate(_outer_matrix(I, J))]
-    for X, c in parts:
+    ckl = -Q(kl) / (8 * n * (n + 1) * (n + 2))
+    for row, (j, w) in zip(res, pair_involution(h)):  # h o h = W
+        row[j] = row[j] - w * ckl
+    S = [[bu.get((a, b)) for b in range(N)] for a in range(N)]
+    for X, c in ((_form_matrix(br), Q(-1, 4 * n)), (S, Q(1, 4))):
         for row, krow in zip(res, kulkarni_nomizu(ps, X, h)):
             for j, k in enumerate(krow):
                 row[j] = row[j] - k * c
@@ -192,10 +199,9 @@ def _check_residual(metric, res):
     n = metric.n
     N = n + 2
     ps = pair_space(n)
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     ric = ricci(ps, h, res)
-    s = sum((ric[a][b] * h[a][b] for a in range(N) for b in range(N)
-             if h[a][b]), Poly.zero(n))
+    s = sum((ric[a][b] * ha for a, (b, ha) in enumerate(h)), Poly.zero(n))
 
     def check(module, v, what):
         if not v.is_zero():
@@ -207,9 +213,11 @@ def _check_residual(metric, res):
         for b in range(a + 1, N):
             check("adjoint", (ric[a][b] - ric[b][a]).scale(Q(1, 2)),
                   f"Ricci entry ({a},{b})")
-    for a in range(N):
+    for a, (abar, ha) in enumerate(h):
         for b in range(a, N):
-            v = (ric[a][b] + ric[b][a]).scale(Q(1, 2)) - s.scale(Q(h[a][b], N))
+            v = (ric[a][b] + ric[b][a]).scale(Q(1, 2))
+            if b == abar:
+                v = v - s.scale(Q(ha, N))
             check("symmetric trace-free", v, f"Ricci entry ({a},{b})")
     W = weyl_part(ps, h, res)
     for i, (a, b) in enumerate(ps.pairs):
@@ -226,7 +234,7 @@ def dec2can_products(phi, phib):
     """The four products of the splitting tractors of two solutions."""
     I = ckt.split(phi, CKTLabel(1, 0))
     J = ckt.split(phib, CKTLabel(1, 0))
-    return I, J, boxtimes(I, J), bullet(I, J), bracket(I, J), killing(I, J)
+    return (I, J, boxtimes(I, J)) + contracted_products(I, J)
 
 
 def _vector_bracket(phi, phib):
@@ -357,9 +365,8 @@ def ideal_relation_check(phi, phib, k):
 def _sym0_two_slots(t):
     """Symmetric trace-free part over two leading standard slots."""
     metric = t.metric
-    n = metric.n
-    N = n + 2
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
+    N = len(h)
     out = TractorField(metric, t.weight, t.slots)
     traces = {}
     for idx, p in t.comps.items():
@@ -367,16 +374,15 @@ def _sym0_two_slots(t):
         half = p.scale(Q(1, 2))
         out.add_to(idx, half)
         out.add_to((B, A) + idx[2:], half)
-        if h[A][B]:
+        Abar, hA = h[A]
+        if B == Abar:
             rest = idx[2:]
             cur = traces.get(rest)
-            v = p.scale(h[A][B])
+            v = p.scale(hA)
             traces[rest] = v if cur is None else cur + v
     for rest, tr in traces.items():
-        for A in range(N):
-            for B in range(N):
-                if h[A][B]:
-                    out.add_to((A, B) + rest, tr.scale(-Q(h[A][B], N)))
+        for A, (B, hA) in enumerate(h):
+            out.add_to((A, B) + rest, tr.scale(-Q(hA, N)))
     return out
 
 
@@ -432,7 +438,7 @@ def brute_dim_oracle(k, t, n):
     """
     metric = Metric.euclidean(n) if not isinstance(n, Metric) else n
     N = metric.n + 2
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     ps = pair_space(metric.n)
     if t == 1:
         return ps.npairs()
@@ -458,22 +464,8 @@ def brute_dim_oracle(k, t, n):
     if k == 1:
         for b in range(N):
             for d in range(b, N):
-                entries = []
-                for a in range(N):
-                    for c in range(N):
-                        if h[a][c]:
-                            entries.append(((a, b, c, d), Q(h[a][c])))
-                add_row(entries)
+                add_row([((a, b, c, d), Q(ha)) for a, (c, ha) in enumerate(h)])
     else:
-        entries = []
-        for a in range(N):
-            for c in range(N):
-                if not h[a][c]:
-                    continue
-                for b in range(N):
-                    for d in range(N):
-                        if h[b][d]:
-                            entries.append(((a, b, c, d),
-                                            Q(h[a][c] * h[b][d])))
-        add_row(entries)
+        add_row([((a, b, c, d), Q(ha * hb)) for a, (c, ha) in enumerate(h)
+                 for b, (d, hb) in enumerate(h)])
     return len(ps.coords) - linalg.rank(rows)

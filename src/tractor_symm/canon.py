@@ -13,7 +13,6 @@ plus a trivial tail.
 """
 
 import random
-import time
 from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
@@ -84,7 +83,7 @@ class SymmetryReport:
     """Outcome of an intertwining check Delta^k S = S' Delta^k."""
 
     def __init__(self, k, label, w_in, w_out, residual, S_std, Sp_std,
-                 elapsed, trivial):
+                 trivial):
         self.k = k
         self.label = label
         self.w_in = w_in
@@ -92,19 +91,8 @@ class SymmetryReport:
         self.residual = residual
         self.S_std = S_std
         self.Sp_std = Sp_std
-        self.elapsed = elapsed
         self.trivial = trivial
         self.verdict = residual.is_zero()
-
-    def to_dict(self):
-        metric = self.residual.metric
-        res = [{"p": t.p, "r": t.r} for t in self.residual.types()]
-        return {"n": metric.n, "signature": list(metric.signature),
-                "k": self.k, "label": list(self.label),
-                "verdict": "pass" if self.verdict else "fail",
-                "trivial": self.trivial,
-                "residual_terms": res,
-                "elapsed": round(self.elapsed, 3)}
 
 
 def verify_symmetry(phi, label, k):
@@ -114,7 +102,6 @@ def verify_symmetry(phi, label, k):
     n = metric.n
     w_in = Q(2 * k - n, 2)
     w_out = Q(-2 * k - n, 2)
-    t0 = time.time()
     I = ckt.split(phi, label)
     S = build_S(I, label, w_in, check_parallel=False)
     Sp = build_S(I, label, w_out, check_parallel=False)
@@ -125,7 +112,7 @@ def verify_symmetry(phi, label, k):
     residual = normalize_raw(compose_raw(lapk, S_std.to_raw())
                              - compose_raw(Sp_std.to_raw(), lapk), metric)
     return SymmetryReport(k, label, w_in, w_out, residual, S_std, Sp_std,
-                          time.time() - t0, trivial=(label.r >= k))
+                          trivial=(label.r >= k))
 
 
 def leading_checks(report, phi):

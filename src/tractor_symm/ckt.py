@@ -20,18 +20,18 @@ parallel sections are polynomial exponentials of the (nilpotent, flat)
 connection.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import factorial
 
-from .scalars import Q, ZERO
+from .scalars import Q, ZERO, ONE
 from .poly import Poly, monomials_of_degree
 from .tensor import (Metric, SymTensor, multisets, nord, exponent, multiset,
-                     harmonic_parts, symbol, from_symbol, xi_raise, xi_dx)
-from .tractor import (TractorField, SlotKind, pair_space, hmat,
-                      parallel_extend, nabla)
+                     harmonic_parts, symbol, from_symbol, xi_raise, xi_dx,
+                     tractor_metric)
+from .tractor import (TractorField, SlotKind, pair_space, parallel_extend,
+                      nabla)
 from . import linalg
 
 
@@ -91,11 +91,11 @@ def weyl_dim(n, p, r):
     if m > 1:
         lam[1] = p
     if N % 2:  # B_m
-        rho = [Fraction(2 * (m - i) - 1, 2) for i in range(m)]
+        rho = [Q(2 * (m - i) - 1, 2) for i in range(m)]
         roots = [tuple((1 if k == i else 0) for k in range(m))
                  for i in range(m)]
     else:  # D_m
-        rho = [Fraction(m - 1 - i) for i in range(m)]
+        rho = [Q(m - 1 - i) for i in range(m)]
         roots = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -103,8 +103,8 @@ def weyl_dim(n, p, r):
                 root = [0] * m
                 root[i], root[j] = 1, s
                 roots.append(tuple(root))
-    num = den = Fraction(1)
-    l = [Fraction(a) + b for a, b in zip(lam, rho)]
+    num = den = ONE
+    l = [a + b for a, b in zip(lam, rho)]
     for root in roots:
         num *= sum(c * x for c, x in zip(root, l))
         den *= sum(c * x for c, x in zip(root, rho))
@@ -217,13 +217,11 @@ def _solve_degree(metric, label, d):
     for i, v in enumerate(basis):
         t = SymTensor(metric, p, weight=label.weight)
         nonzero_phi = False
-        for j, c in enumerate(v):
-            if not c:
-                continue
+        for j in sorted(v):
             kind, m, e = inv_cols[j]
             if kind == "phi":
                 nonzero_phi = True
-                t.add_to(m, Poly.monomial(n, e, c))
+                t.add_to(m, Poly.monomial(n, e, v[j]))
         if not nonzero_phi:
             raise CKTError(f"label {label}, degree {d}: kernel vector {i} "
                            "has a vanishing tensor part")
@@ -301,7 +299,7 @@ def _cartan_constraint_rows(metric, label, expanded_cols):
     """
     p, r = label
     nm = 2 * p + 2 * r
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     rows = {}
 
     def addrow(key, col, v):
@@ -312,10 +310,8 @@ def _cartan_constraint_rows(metric, label, expanded_cols):
         for idx, val in ex.items():
             # traces
             for (u, v) in combinations(range(nm), 2):
-                if (u, v) in same_pair:
-                    continue
-                hv = h[idx[u]][idx[v]]
-                if not hv:
+                ubar, hv = h[idx[u]]
+                if (u, v) in same_pair or idx[v] != ubar:
                     continue
                 rest = tuple(x for i, x in enumerate(idx) if i not in (u, v))
                 addrow(("tr", u, v, rest), col, hv * val)
@@ -373,7 +369,7 @@ def _split_plan(sig, label):
     """The phi-independent part of a split: the reduced coordinates'
     expanded fibers, the Cartan rows and the extraction rows, keyed by
     the 2n-exponents of the projecting part's symbol.  linalg.solve
-    copies rows; nothing mutates them."""
+    does not modify rows; nothing mutates them."""
     metric = Metric(*sig)
     slots = _shape_slots(label)
     red = _reduced_fiber(metric, label)

@@ -293,9 +293,9 @@ def cmd_algebra(args):
             _usage("need t >= 1, got t = %d" % t)
         gd = algebra.graded_dim(k, t, n)
         res = {"graded-dim": gd}
-        ok = True
+        ok = None  # the oracle is feasible only for t <= 2
         if t <= 2:
-            bd = algebra.brute_dim_oracle(k, t, n)
+            bd = algebra.brute_dim_oracle(k, t, metric)
             res["oracle-dim"] = bd
             ok = gd == bd
         _emit(args, "algebra graded", _config(args, metric), res, ok)

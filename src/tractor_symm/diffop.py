@@ -93,9 +93,6 @@ class StdOp:
     def is_zero(self):
         return not self.terms
 
-    def types(self):
-        return sorted(self.terms, key=OpType.sort_key)
-
     def coeff(self, p, r):
         """phi of the term <p|r>, lower indices, as a SymTensor."""
         P = self.terms.get(OpType(p, r), Poly.zero(2 * self.metric.n))

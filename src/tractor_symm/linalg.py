@@ -104,13 +104,11 @@ def echelon(rows):
     return ech
 
 
-def _back_substitute(pivots, x, upto):
-    """Fill in the pivot entries below column ``upto`` of the dict ``x``
-    so that it solves every row; ``pivots`` are the echelon's (column,
-    row) pairs, last column first."""
+def _back_substitute(pivots, x):
+    """Fill in the pivot entries of the dict ``x`` so that it solves
+    every row of ``pivots``, (column, row) pairs of the echelon taken
+    last column first."""
     for c, row in pivots:
-        if c >= upto:
-            continue
         s = ZERO
         for k, a in row.items():
             if k > c and k in x:
@@ -125,42 +123,36 @@ def rank(rows):
 
 
 def kernel(rows, ncols):
-    """Basis of the right null space, one dense Q-vector per free column."""
+    """Basis of the right null space, one sparse {column: value} dict
+    per free column f: 1 at f, 0 (absent) at the other free columns."""
     ech = echelon(rows)
-    pivots = sorted(ech.items(), reverse=True)
-    return [[v.get(j, ZERO) for j in range(ncols)]
-            for v in (_back_substitute(pivots, {f: ONE}, f)
-                      for f in range(ncols) if f not in ech)]
+    below = []  # the pivots left of f, in column order
+    out = []
+    for f in range(ncols):
+        if f in ech:
+            below.append((f, ech[f]))
+        else:
+            # a pivot right of f solves a row of columns right of it,
+            # all zero in this vector, so it is zero too
+            out.append(_back_substitute(reversed(below), {f: ONE}))
+    return out
 
 
 def solve(rows, rhs, ncols):
-    """The unique solution of A x = b.
-
-    ``rhs`` is one vector b (an entry per row) or a list of them, taken
-    as trailing columns of one elimination; the solution has the same
-    shape.  Raises InconsistentSystem when some b has no solution, else
-    LinAlgError when A has a nontrivial kernel.
+    """The unique solution of A x = b, with b = ``rhs`` (one entry per
+    row) taken as a trailing column of the elimination.  Raises
+    InconsistentSystem when b has no solution, else LinAlgError when A
+    has a nontrivial kernel.  The rows are not modified.
     """
-    many = bool(rhs) and isinstance(rhs[0], (list, tuple))
-    cols = rhs if many else [rhs]
-    aug = []
-    for i, row in enumerate(rows):
-        row = dict(row)
-        for j, b in enumerate(cols):
-            if b[i]:
-                row[ncols + j] = b[i]
-        aug.append(row)
+    aug = [{**row, ncols: b} if b else row
+           for row, b in zip(rows, rhs, strict=True)]
     ech = echelon(aug)
     if any(c >= ncols for c in ech):
         raise InconsistentSystem("no solution")
     if len(ech) != ncols:
         raise LinAlgError("solution is not unique")
-    pivots = sorted(ech.items(), reverse=True)
-    out = []
-    for j in range(len(cols)):
-        x = _back_substitute(pivots, {ncols + j: -ONE}, ncols)
-        out.append([x.get(c, ZERO) for c in range(ncols)])
-    return out if many else out[0]
+    x = _back_substitute(sorted(ech.items(), reverse=True), {ncols: -ONE})
+    return [x.get(c, ZERO) for c in range(ncols)]
 
 
 class ExactMatrix:

@@ -1,18 +1,12 @@
 """Exact rational scalars.
 
-All arithmetic in the package is exact.  We use gmpy2.mpq when available
-(it is much faster than fractions.Fraction) and fall back to Fraction
-otherwise.  Both types print reduced rationals the same way ("-4/3", "7"),
-which the serialization layer relies on.
+All arithmetic in the package is exact, in one scalar type:
+``Q = fractions.Fraction``.  It prints reduced rationals as "-4/3" or
+"7", which the serialization layer relies on.
 """
 
-from fractions import Fraction
+from fractions import Fraction as Q
 from math import comb
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -34,4 +28,4 @@ def binom(m: int, j: int):
     return Q(comb(m, j))
 
 
-__all__ = ["Q", "ZERO", "ONE", "qstr", "qparse", "binom", "Fraction"]
+__all__ = ["Q", "ZERO", "ONE", "qstr", "qparse", "binom"]

@@ -18,10 +18,12 @@ which has a closed form (Axler-Bourdon-Ramey, Harmonic Function Theory,
 ch. 5): ``harmonic_parts`` yields h_0, h_1, .. and solves no linear
 system.
 
-Four-index tensors in Lambda^2 (x) Lambda^2 over the tractor space are
-pair matrices on two-forms.  The Kulkarni-Nomizu product A o B builds
-them from two-index ones (h o h is the Lambda^2 pairing), and the
-trace-free Young-(2,2) (Weyl) part has the closed form
+The tractor metric h is held as a signed involution A -> (Abar, h_A),
+one nonzero per row (``tractor_metric``), and so is the Lambda^2 pairing
+W = h o h it induces (``pair_involution``).  Four-index tensors in
+Lambda^2 (x) Lambda^2 over the tractor space are pair matrices on
+two-forms.  The Kulkarni-Nomizu product X o h builds them from two-index
+ones, and the trace-free Young-(2,2) (Weyl) part has the closed form
 W = R - Ric o h/(N-2) + s h o h/(2(N-1)(N-2)) of Riemannian geometry,
 an orthogonal projection in every signature: no linear system is solved.
 """
@@ -374,6 +376,22 @@ def random_tracefree(metric, rank, degree, rng, weight=0):
 # Sym^2(Lambda^2): the Kulkarni-Nomizu product and the Weyl part
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def tractor_metric(sig):
+    """The tractor metric h of signature ``sig`` as a signed involution.
+
+    h pairs the top index 0 with the bottom index n+1 and is g on the
+    middle block 1..n, so each of its rows has one nonzero: entry A is
+    (Abar, h_A), with h_AB = h_A when B = Abar and 0 otherwise.  As a
+    matrix h is its own inverse, so the same tuple gives h^AB.  Any
+    diagonal +-1 metric is a signed involution too: entry a is (a, eps_a).
+    """
+    s, sp = sig
+    n = s + sp
+    return (((n + 1, 1),) + tuple((a + 1, 1 if a < s else -1)
+                                  for a in range(n)) + ((0, 1),))
+
+
 class PairSpace:
     """Index bookkeeping for two-form pairs over a dimension-N space."""
 
@@ -410,43 +428,59 @@ class PairSpace:
         return self.coord_index[(i, j)], sa * sb
 
 
-def kulkarni_nomizu(ps, A, B):
-    """Pair matrix of the Kulkarni-Nomizu product of N x N matrices,
+@lru_cache(maxsize=None)
+def pair_involution(h):
+    """The full-index Lambda^2 pairing W = h o h of a signed involution h,
+    as a signed involution on the two-forms of ``PairSpace(len(h))``:
+    W_pq = 2 (h_ac h_bd - h_ad h_bc) on p = (a,b), q = (c,d) has one
+    nonzero per row, at q = (abar, bbar) up to orientation, where it is
+    2 h_a h_b times the orientation sign."""
+    ps = PairSpace(len(h))
+    out = []
+    for a, b in ps.pairs:
+        (ab, ha), (bb, hb) = h[a], h[b]
+        q, s = ps.sign_index(ab, bb)
+        out.append((q, 2 * ha * hb * s))
+    return tuple(out)
 
-        (A o B)_abcd = A_ac B_bd + A_bd B_ac - A_ad B_bc - A_bc B_ad,
 
-    on the two-forms (a,b), (c,d) of ``ps``.  Entries may be scalars or
-    Polys.  It is pair-exchange symmetric when A and B are both
-    symmetric, and pair-exchange skew when one of them is skew."""
-    return [[A[a][c] * B[b][d] + A[b][d] * B[a][c]
-             - A[a][d] * B[b][c] - A[b][c] * B[a][d]
-             for (c, d) in ps.pairs] for (a, b) in ps.pairs]
+def kulkarni_nomizu(ps, X, h):
+    """Pair matrix of the Kulkarni-Nomizu product X o h of an N x N
+    matrix X (scalar or Poly entries) with a signed involution h,
 
+        (X o h)_abcd = X_ac h_bd + X_bd h_ac - X_ad h_bc - X_bc h_ad,
 
-def pair_metric(ps, h):
-    """W = h o h: W[p][q] = 2 (h_ac h_bd - h_ad h_bc), the full-index
-    Lambda^2 pairing of the unit two-forms p = (a,b), q = (c,d) of ``ps``."""
-    return kulkarni_nomizu(ps, h, h)
+    on the two-forms (a,b), (c,d) of ``ps``.  Row (a,b) is nonzero only
+    on the two-forms holding abar or bbar: X_ax h_b on (x, bbar) and
+    X_bx h_a on (abar, x), each up to orientation."""
+    zero = X[0][0] * 0
+    out = [[zero] * len(ps.pairs) for _ in ps.pairs]
+    for row, (a, b) in zip(out, ps.pairs):
+        (ab, ha), (bb, hb) = h[a], h[b]
+        for x in range(ps.dim):
+            for r, v, hv in ((ps.sign_index(x, bb), X[a][x], hb),
+                             (ps.sign_index(ab, x), X[b][x], ha)):
+                if r is not None:
+                    row[r[0]] = row[r[0]] + v * (hv * r[1])
+    return out
 
 
 def ricci(ps, h, R):
     """Ric_bd = h^ac R_abcd of a pair matrix R (any element of
-    Lambda^2 (x) Lambda^2), as an N x N matrix."""
+    Lambda^2 (x) Lambda^2) under the signed involution h, as an N x N
+    matrix."""
     N = ps.dim
     zero = R[0][0] * 0
     ric = [[zero] * N for _ in range(N)]
-    for a in range(N):
-        for c in range(N):
-            if not h[a][c]:
+    for a, (c, ha) in enumerate(h):
+        for b in range(N):
+            if b == a:
                 continue
-            for b in range(N):
-                if b == a:
-                    continue
-                i, s1 = ps.sign_index(a, b)
-                for d in range(N):
-                    if d != c:
-                        j, s2 = ps.sign_index(c, d)
-                        ric[b][d] = ric[b][d] + R[i][j] * (h[a][c] * s1 * s2)
+            i, s1 = ps.sign_index(a, b)
+            for d in range(N):
+                if d != c:
+                    j, s2 = ps.sign_index(c, d)
+                    ric[b][d] = ric[b][d] + R[i][j] * (ha * s1 * s2)
     return ric
 
 
@@ -454,8 +488,8 @@ def weyl_part(ps, h, T):
     """Trace-free Young-(2,2) part of the pair-symmetrization of T.
 
     T is a pair matrix over ``ps`` (scalar or Poly entries) and h a
-    symmetric metric matrix equal to its own inverse (the tractor metric
-    or a diagonal +-1 metric), which both traces and pairs.  With
+    signed involution (``tractor_metric``, or a diagonal +-1 metric),
+    which both traces and pairs.  With
     S = (T + T^t)/2, R = S - S_[abcd] (S_[abcd] = (S_abcd + S_acdb +
     S_adbc)/3) and Ric, s = h^bd Ric_bd its traces,
 
@@ -481,10 +515,10 @@ def weyl_part(ps, h, T):
                 R[i][j] = R[i][j] - (S[i][j] + get(a, c, d, b)
                                      + get(a, d, b, c)) * third
     ric = ricci(ps, h, R)
-    s = sum((ric[b][d] * h[b][d] for b in range(N) for d in range(N)
-             if h[b][d]), R[0][0] * 0)
+    s = sum((ric[b][d] * hb for b, (d, hb) in enumerate(h)), R[0][0] * 0)
     K = kulkarni_nomizu(ps, ric, h)
-    H = pair_metric(ps, h)
     c1, c2 = Q(1, N - 2), Q(1, 2 * (N - 1) * (N - 2))
-    return [[R[i][j] - K[i][j] * c1 + s * (H[i][j] * c2) for j in range(P)]
-            for i in range(P)]
+    W = [[R[i][j] - K[i][j] * c1 for j in range(P)] for i in range(P)]
+    for row, (j, w) in zip(W, pair_involution(h)):
+        row[j] = row[j] + s * (w * c2)
+    return W

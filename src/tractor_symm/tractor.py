@@ -4,8 +4,10 @@ A standard tractor over E^{s,s'} (n = s + s' >= 3) has n + 2 components
 split against the flat scale as (alpha; mu^b; tau): index 0 carries the
 top (Y) component, 1..n the middle (Z, upper tensor index) block and
 n+1 the bottom (X) component.  The tractor metric pairs top with bottom
-and restricts to g on the middle block; as a matrix it is an involution,
-so it is its own inverse.
+and restricts to g on the middle block, so each row has one nonzero and
+h is its own inverse.  It is held as the signed involution
+A -> (Abar, h_A) of ``tensor.tractor_metric``, and the pairing it
+induces on form slots as ``tensor.pair_involution``.
 
 Fields may carry several slots:
 
@@ -24,9 +26,9 @@ exactly as the defining formulas dictate.
 
 from functools import lru_cache
 
-from .scalars import Q, ZERO, ONE
+from .scalars import Q, ONE
 from .poly import Poly
-from .tensor import Metric, PairSpace, pair_metric
+from .tensor import PairSpace, tractor_metric, pair_involution
 
 
 class SlotKind:
@@ -38,28 +40,6 @@ class SlotKind:
 @lru_cache(maxsize=None)
 def pair_space(n):
     return PairSpace(n + 2)
-
-
-@lru_cache(maxsize=None)
-def _pair_W(sig):
-    """Full-contraction pairing matrix for form slots: W[p][q]."""
-    return pair_metric(pair_space(sum(sig)), _hmat_cached(sig))
-
-
-@lru_cache(maxsize=None)
-def _hmat_cached(sig):
-    metric = Metric(*sig)
-    n = metric.n
-    h = [[ZERO] * (n + 2) for _ in range(n + 2)]
-    h[0][n + 1] = h[n + 1][0] = ONE
-    for i in range(n):
-        h[i + 1][i + 1] = metric.eps[i]
-    return h
-
-
-def hmat(metric):
-    """Tractor metric h_{AB} (equal to its own inverse)."""
-    return _hmat_cached(metric.key())
 
 
 class TractorField:
@@ -288,17 +268,15 @@ def double_D2(t):
     metric = t.metric
     n = metric.n
     w = t.weight
-    h = hmat(metric)
     dt = tractor_D(t)
     out = TractorField(metric, w, (SlotKind.STD, SlotKind.STD) + t.slots,
                        nvars=t.nvars())
     half = Q(1, 2)
     if w:
+        h = tractor_metric(metric.key())
         for idx, p in t.comps.items():
-            for A in range(n + 2):
-                for B in range(n + 2):
-                    if h[A][B]:
-                        out.add_to((A, B) + idx, p.scale(-w * h[A][B]))
+            for A, (B, hA) in enumerate(h):
+                out.add_to((A, B) + idx, p.scale(-w * hA))
     for idx, p in dt.comps.items():
         B = idx[0]
         rest = idx[1:]
@@ -317,7 +295,7 @@ def hsharp(t):
     metric = t.metric
     n = metric.n
     ps = pair_space(n)
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     out = TractorField(metric, t.weight, (SlotKind.FORM,) + t.slots,
                        nvars=t.nvars())
     half = Q(1, 2)
@@ -325,33 +303,28 @@ def hsharp(t):
         for s, kind in enumerate(t.slots):
             if kind == SlotKind.STD:
                 D = idx[s]
-                for A in range(n + 2):
+                for A, (C, hA) in enumerate(h):
                     if A == D:
                         continue
-                    for C in range(n + 2):
-                        if h[C][A]:
-                            j = list(idx)
-                            j[s] = C
-                            out.form_add(0, (A, D), (0,) + tuple(j),
-                                         p.scale(half * h[C][A]))
+                    j = list(idx)
+                    j[s] = C
+                    out.form_add(0, (A, D), (0,) + tuple(j),
+                                 p.scale(half * hA))
             elif kind == SlotKind.FORM:
                 M0, M1 = ps.pairs[idx[s]]
                 for pos, (D, other) in enumerate(((M0, M1), (M1, M0))):
-                    for A in range(n + 2):
+                    for A, (C, hA) in enumerate(h):
                         if A == D:
                             continue
-                        for C in range(n + 2):
-                            if not h[C][A]:
-                                continue
-                            members = (C, other) if pos == 0 else (other, C)
-                            r = ps.sign_index(*members)
-                            if r is None:
-                                continue
-                            pi, sg = r
-                            j = list(idx)
-                            j[s] = pi
-                            out.form_add(0, (A, D), (0,) + tuple(j),
-                                         p.scale(half * h[C][A] * sg))
+                        members = (C, other) if pos == 0 else (other, C)
+                        r = ps.sign_index(*members)
+                        if r is None:
+                            continue
+                        pi, sg = r
+                        j = list(idx)
+                        j[s] = pi
+                        out.form_add(0, (A, D), (0,) + tuple(j),
+                                     p.scale(half * hA * sg))
     return out
 
 
@@ -367,25 +340,24 @@ def fund_D2(t):
     composition of two fundamental derivatives.
     """
     metric = t.metric
-    n = metric.n
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     u = fund_D(fund_D(t))  # slots: [outer F][inner F] + t.slots
     out = TractorField(metric, t.weight,
                        (SlotKind.STD, SlotKind.STD) + t.slots,
                        nvars=t.nvars())
     half = Q(1, 2)
-    ps = pair_space(n)
+    ps = pair_space(metric.n)
     # out^{AB} = -1/2 sum_{C,E} h_{CE} (U^{[CA],[BE]} + U^{[CB],[AE]})
     for idx, p in u.comps.items():
         (C0, C1), (D0, D1) = ps.pairs[idx[0]], ps.pairs[idx[1]]
         rest = idx[2:]
         # expand both stored pairs with signs
         for (C, A, s1) in ((C0, C1, 1), (C1, C0, -1)):
+            Cbar, hC = h[C]
             for (B, E, s2) in ((D0, D1, 1), (D1, D0, -1)):
-                he = h[C][E]
-                if not he:
+                if E != Cbar:
                     continue
-                v = p.scale(-half * he * s1 * s2)
+                v = p.scale(-half * hC * s1 * s2)
                 out.add_to((A, B) + rest, v)
                 out.add_to((B, A) + rest, v)
     return out
@@ -394,14 +366,13 @@ def fund_D2(t):
 def casimir(t):
     """Curved Casimir h^{AB} D^2_{AB} (fundamental derivative squared)."""
     metric = t.metric
-    n = metric.n
-    h = hmat(metric)
+    h = tractor_metric(metric.key())
     f2 = fund_D2(t)
     out = TractorField(metric, t.weight, t.slots, nvars=t.nvars())
     for idx, p in f2.comps.items():
-        hv = h[idx[0]][idx[1]]
-        if hv:
-            out.add_to(idx[2:], p.scale(hv))
+        Abar, hA = h[idx[0]]
+        if Abar == idx[1]:
+            out.add_to(idx[2:], p.scale(hA))
     return out
 
 
@@ -430,23 +401,19 @@ def contract(t1, t2):
 
     Slot kinds must match pairwise; standard slots are paired through the
     tractor metric h, form slots through the induced full-index pairing W
-    and covector slots through the inverse base metric.  Each row of h, W
-    and the base metric has exactly one nonzero, so each component of t1
-    meets one index tuple of t2's leading slots: the work is linear in
-    the components.
+    and covector slots through the inverse base metric.  Each is a signed
+    involution, a -> (abar, M_{a abar}) for the one nonzero of its row,
+    so each component of t1 meets one index tuple of t2's leading slots:
+    the work is linear in the components.
     """
     metric = t1.metric
     k = len(t1.slots)
     if t2.slots[:k] != t1.slots:
         raise ValueError(f"contracting {t1.slots} against {t2.slots}")
-    n = metric.n
-    by_kind = {SlotKind.STD: hmat(metric),
-               SlotKind.FORM: _pair_W(metric.key()),
-               SlotKind.VEC: [[metric.g(a, b) for b in range(n)]
-                              for a in range(n)]}
-    # per slot, row a -> (b, M[a][b]) for its one nonzero
-    partners = [[next((b, v) for b, v in enumerate(row) if v)
-                 for row in by_kind[kind]] for kind in t1.slots]
+    h = tractor_metric(metric.key())
+    by_kind = {SlotKind.STD: h, SlotKind.FORM: pair_involution(h),
+               SlotKind.VEC: tuple(enumerate(metric.eps))}
+    partners = [by_kind[kind] for kind in t1.slots]
     lead = {}
     for i2, p2 in t2.comps.items():
         lead.setdefault(i2[:k], []).append((i2[k:], p2))

@@ -5,7 +5,7 @@ import pytest
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric, SymTensor, multisets, nord
+from tractor_symm.tensor import Metric, PairSpace, SymTensor, multisets, nord
 from tractor_symm import ckt
 
 
@@ -92,3 +92,37 @@ def g_odot(t):
         if not total.is_zero():
             out.comps[m] = total.scale(Q(1, nord(m)))
     return out
+
+
+# dense forms of the tractor metric, its Lambda^2 pairing and the
+# Kulkarni-Nomizu product, from their definitions: oracles for the
+# signed involutions of tractor_symm.tensor
+
+
+def dense_h(sig):
+    """h_AB of signature sig: h_{0,n+1} = h_{n+1,0} = 1 and
+    h_{a+1,a+1} = eps_a, zero elsewhere."""
+    metric = Metric(*sig)
+    N = metric.n + 2
+    h = [[Q(0)] * N for _ in range(N)]
+    h[0][N - 1] = h[N - 1][0] = Q(1)
+    for a, e in enumerate(metric.eps):
+        h[a + 1][a + 1] = e
+    return h
+
+
+def kulkarni_nomizu_dense(A, B):
+    """(A o B)_abcd = A_ac B_bd + A_bd B_ac - A_ad B_bc - A_bc B_ad on the
+    two-forms (a,b), (c,d) of PairSpace(len(A))."""
+    pairs = PairSpace(len(A)).pairs
+    return [[A[a][c] * B[b][d] + A[b][d] * B[a][c]
+             - A[a][d] * B[b][c] - A[b][c] * B[a][d]
+             for (c, d) in pairs] for (a, b) in pairs]
+
+
+def dense_W(h):
+    """The full-index Lambda^2 pairing W_pq = 2 (h_ac h_bd - h_ad h_bc)
+    of the unit two-forms p = (a,b), q = (c,d) of PairSpace(len(h))."""
+    pairs = PairSpace(len(h)).pairs
+    return [[2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
+             for (c, d) in pairs] for (a, b) in pairs]

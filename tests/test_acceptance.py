@@ -12,10 +12,10 @@ from tractor_symm.tensor import Metric, random_tracefree
 from tractor_symm.diffop import StdOp
 from tractor_symm.tractor import (TractorField, SlotKind, tractor_D,
                                   double_D, fund_D, x_mult, permute_slots,
-                                  contract, hmat, pair_space, _pair_W)
+                                  contract, pair_space)
 from tractor_symm import ckt, canon, algebra
 
-from conftest import solved_basis, random_poly
+from conftest import solved_basis, random_poly, dense_h, dense_W
 
 
 MET3 = Metric.euclidean(3)
@@ -156,7 +156,7 @@ def test_criterion_09_classification_roundtrip():
 def test_criterion_10_operator_calculus():
     n = 3
     rng = random.Random(31)
-    Wm = _pair_W(MET3.key())
+    Wm = dense_W(dense_h(MET3.key()))
     ok = True
     # double-D trace: D^A D_A = -2w(n+w) with form-index contraction
     for w in (Q(0), Q(2), Q(-1, 2)):
@@ -168,7 +168,7 @@ def test_criterion_10_operator_calculus():
                 s = s + val.scale(Wm[p][q])
         ok = ok and s == f.scale(-2 * w * (n + w))
     # [D_A, X_B] = -2 DD_{AB} + (n+2w) h_{AB}
-    h = hmat(MET3)
+    h = dense_h(MET3.key())
     ps = pair_space(n)
     for w in (Q(0), Q(2), Q(-3, 2)):
         f = TractorField.density(MET3, w, random_poly(n, 3, rng))

@@ -1,13 +1,16 @@
+import random
 import re
+from functools import lru_cache
 
 import pytest
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric
+from tractor_symm.tractor import TractorField, SlotKind, pair_space
 from tractor_symm import ckt, algebra
 
-from conftest import solved_basis
+from conftest import solved_basis, dense_h, dense_W
 
 
 MET = Metric.euclidean(3)
@@ -63,10 +66,9 @@ def test_jacobi_identity(gelems):
 
 
 def test_bullet_symmetric_tracefree(gelems):
-    from tractor_symm.tractor import hmat
     I1, _, Id = gelems
     bu = algebra.bullet(I1, Id)
-    h = hmat(MET)
+    h = dense_h(MET.key())
     tr = Poly.zero(N)
     for (a, b), p in bu.comps.items():
         assert bu.get((b, a)) == p
@@ -90,17 +92,24 @@ def test_decompose_orthogonality(gelems):
 def test_decompose_rejects_wrong_part(gelems, monkeypatch, name, module,
                                       pair):
     # doubling the pairing, the bracket or the bullet, or zeroing
-    # boxtimes, leaves a residual in that part's module
+    # boxtimes, leaves a residual in that part's module; decompose takes
+    # boxtimes by name and the other three from contracted_products
     A, B = (gelems[i] for i in pair)
     algebra.decompose(A, B)
-    f = getattr(algebra, name)
-    c = 0 if name == "boxtimes" else 2
+    if name == "boxtimes":
+        box = algebra.boxtimes
+        monkeypatch.setattr(algebra, "boxtimes",
+                            lambda I, J: box(I, J).scale(0))
+    else:
+        products = algebra.contracted_products
+        k = ("bullet", "bracket", "killing").index(name)
 
-    def wrong(I, J):
-        v = f(I, J)
-        return c * v if name == "killing" else v.scale(c)
+        def wrong(I, J):
+            out = list(products(I, J))
+            out[k] = 2 * out[k] if name == "killing" else out[k].scale(2)
+            return tuple(out)
 
-    monkeypatch.setattr(algebra, name, wrong)
+        monkeypatch.setattr(algebra, "contracted_products", wrong)
     with pytest.raises(ckt.CKTError, match=rf"in the {re.escape(module)} "
                        r"module, (its Ricci trace|(Ricci )?entry \()"):
         algebra.decompose(A, B)
@@ -160,3 +169,84 @@ def test_graded_vs_brute_oracle():
 def test_brute_oracle_infeasible():
     with pytest.raises(ValueError):
         algebra.brute_dim_oracle(1, 3, 3)
+
+
+# indefinite signatures: on a Euclidean metric every h_A is +1, so only
+# these see a sign slip in the tractor metric's involution
+
+INDEFINITE = [(2, 1), (1, 2), (2, 2), (3, 1)]
+
+
+@lru_cache(maxsize=None)
+def _ckvs(sig):
+    return tuple(ckt.solve(Metric(*sig), ckt.CKTLabel(1, 0)))
+
+
+def _seeded_pairs(sig, count):
+    basis = _ckvs(sig)
+    rng = random.Random(sum(sig) + 10 * sig[1])
+    return [(basis[rng.randrange(len(basis))],
+             basis[rng.randrange(len(basis))]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("sig", INDEFINITE)
+def test_dec2can_and_decompose_indefinite(sig):
+    for phi, phib in _seeded_pairs(sig, 3):
+        I = ckt.split(phi, ckt.CKTLabel(1, 0))
+        J = ckt.split(phib, ckt.CKTLabel(1, 0))
+        dec = algebra.decompose(I, J)  # raises if residual not orthogonal
+        assert dec.killing_part == algebra.killing_oracle(phi, phib)
+        for w in (Q(-1, 2), Q(0), Q(2)):
+            rep = algebra.verify_dec2can(phi, phib, w)
+            assert rep["all"], rep
+
+
+def _dense_form(field):
+    """Full skew (n+2) x (n+2) matrix of a one-form-slot field."""
+    n = field.metric.n
+    ps = pair_space(n)
+    M = [[Poly.zero(n)] * (n + 2) for _ in range(n + 2)]
+    for (pi,), p in field.comps.items():
+        a, b = ps.pairs[pi]
+        M[a][b], M[b][a] = p, p.scale(-1)
+    return M
+
+
+def _dense_products(I, J):
+    """Oracle for bullet, bracket and killing: M = M_I h M_J summed over
+    every index of the dense h, and the pairing -4n I_p W_pq J_q over
+    every pair of two-forms of the dense W."""
+    metric = I.metric
+    n = metric.n
+    N = n + 2
+    h = dense_h(metric.key())
+    ps = pair_space(n)
+    MI, MJ = _dense_form(I), _dense_form(J)
+    M = [[sum((MI[A][P] * MJ[Qi][B]).scale(h[P][Qi]) for P in range(N)
+              for Qi in range(N)) for B in range(N)] for A in range(N)]
+    br = TractorField(metric, 0, (SlotKind.FORM,), {
+        (pi,): (M[a][b] - M[b][a]).scale(2)
+        for pi, (a, b) in enumerate(ps.pairs)})
+    sym = [[(M[a][b] + M[b][a]).scale(Q(-1, 2)) for b in range(N)]
+           for a in range(N)]
+    tr = sum(sym[a][b].scale(h[a][b]) for a in range(N) for b in range(N))
+    bu = TractorField(metric, 0, (SlotKind.STD, SlotKind.STD), {
+        (a, b): (sym[a][b] - tr.scale(h[a][b] / N)).scale(Q(4, n))
+        for a in range(N) for b in range(N)})
+    W = dense_W(h)
+    kl = sum((I.get((p,)) * J.get((q,))).scale(W[p][q])
+             for p in range(len(W)) for q in range(len(W))).scale(-4 * n)
+    assert kl.is_constant()
+    return bu, br, kl.constant_value()
+
+
+@pytest.mark.parametrize("sig", [(3, 0)] + INDEFINITE)
+def test_products_match_dense_formula(sig):
+    for phi, phib in _seeded_pairs(sig, 2):
+        I = ckt.split(phi, ckt.CKTLabel(1, 0))
+        J = ckt.split(phib, ckt.CKTLabel(1, 0))
+        bu, br, kl = _dense_products(I, J)
+        assert algebra.bullet(I, J) == bu
+        assert algebra.bracket(I, J) == br
+        assert algebra.killing(I, J) == kl
+        assert algebra.contracted_products(I, J) == (bu, br, kl)

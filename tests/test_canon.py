@@ -67,14 +67,6 @@ def test_verify_symmetry_k2_scalar_label():
     assert rep.verdict
 
 
-def test_report_serialization(named_ckvs):
-    e1, _, _ = named_ckvs
-    rep = canon.verify_symmetry(e1, (1, 0), 1)
-    d = rep.to_dict()
-    assert d["verdict"] == "pass"
-    assert d["k"] == 1
-
-
 def test_commute_double_D():
     assert canon.verify_commute_doubleD(MET, 1, 1)
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tractor_symm import cli
+from tractor_symm import algebra, cli
+from tractor_symm.tensor import Metric
 
 
 def run(argv):
@@ -69,6 +70,37 @@ def test_algebra_graded(capsys):
     assert code == 0
     assert doc["result"]["graded-dim"] == 49
     assert doc["result"]["oracle-dim"] == 49
+
+
+@pytest.mark.parametrize("sig, k, dim", [("2,2", 1, 84), ("2,1", 2, 49)])
+def test_algebra_graded_oracle_uses_signature(capsys, monkeypatch, sig, k,
+                                              dim):
+    # the oracle runs on the metric of --signature, not on E^n
+    oracle = algebra.brute_dim_oracle
+    seen = []
+
+    def spy(k, t, metric):
+        seen.append(metric)
+        return oracle(k, t, metric)
+
+    monkeypatch.setattr(algebra, "brute_dim_oracle", spy)
+    code, doc = run_json(capsys, ["algebra", "graded", "--k", str(k),
+                                  "--t", "2", "--signature", sig])
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["result"] == {"graded-dim": dim, "oracle-dim": dim}
+    assert seen == [Metric(*(int(x) for x in sig.split(",")))]
+
+
+def test_algebra_graded_no_verdict_without_oracle(capsys):
+    # past t = 2 nothing is checked, so no verdict is printed
+    argv = ["algebra", "graded", "--k", "2", "--t", "4", "--n", "3"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["result"] == {"graded-dim": 385}
+    assert "verdict" not in doc
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "graded-dim: 385" in out and "verdict" not in out
 
 
 def test_text_format(capsys):

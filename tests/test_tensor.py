@@ -11,13 +11,13 @@ from tractor_symm.tensor import (Metric, SymTensor, trace_free, multisets,
                                  random_tracefree, symbol, from_symbol,
                                  harmonic_parts, xi_laplacian, xi_quadric,
                                  xi_raise, xi_dx, xi_reduce, PairSpace, kulkarni_nomizu,
-                                 pair_metric, weyl_part)
-from tractor_symm.tractor import hmat
+                                 tractor_metric, pair_involution, weyl_part)
 from tractor_symm.ckt import weyl_dim
 from tractor_symm.algebra import brute_dim_oracle
 from tractor_symm import linalg
 
-from conftest import trace, g_odot
+from conftest import (trace, g_odot, dense_h, dense_W,
+                      kulkarni_nomizu_dense)
 
 
 def test_metric_trace():
@@ -179,22 +179,49 @@ def _random_pair_matrix(ps, rng):
 
 
 def _pairing(H, A, B):
-    """Full-index pairing of two pair matrices, with H = pair_metric."""
+    """Full-index pairing of two pair matrices, with H the dense W."""
     P = len(H)
     return sum(A[i][j] * H[i][k] * H[j][l] * B[k][l] for i in range(P)
                for j in range(P) for k in range(P) for l in range(P)
                if H[i][k] and H[j][l])
 
 
-def _tractor_h(sig):
-    return hmat(Metric(*sig))
+def _identity(dim):
+    """The Euclidean metric on R^dim, as a signed involution."""
+    return tuple((a, 1) for a in range(dim))
+
+
+INVOLUTION_SIGS = [(3, 0), (2, 1), (1, 2), (2, 2), (4, 0), (3, 1)]
+
+
+@pytest.mark.parametrize("sig", INVOLUTION_SIGS)
+def test_involution_matches_dense(sig):
+    # the signed involutions give back the dense h and W entry by entry,
+    # and X o h read from them is the four-index Kulkarni-Nomizu formula
+    h, inv = dense_h(sig), tractor_metric(sig)
+    N = len(h)
+    for A in range(N):
+        Abar, hA = inv[A]
+        assert [h[A][B] for B in range(N)] == [
+            hA if B == Abar else 0 for B in range(N)]
+    W = dense_W(h)
+    assert W == kulkarni_nomizu_dense(h, h)
+    for p, (q, w) in enumerate(pair_involution(inv)):
+        assert w != 0
+        assert W[p] == [w if j == q else 0 for j in range(len(W))]
+    ps = PairSpace(N)
+    rng = random.Random(sum(sig) + 10 * sig[1])
+    X = [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(N)]
+         for _ in range(N)]
+    assert kulkarni_nomizu(ps, X, inv) == kulkarni_nomizu_dense(X, h)
+    assert kulkarni_nomizu(ps, h, inv) == W
 
 
 def test_weyl_part_properties():
     # on a 4-dim euclidean space: the Weyl part of a random 4-tensor is
     # pair symmetric, satisfies Bianchi, is trace-free and is fixed
     dim = 4
-    h = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    h = _identity(dim)
     ps = PairSpace(dim)
     W = weyl_part(ps, h, _random_pair_matrix(ps, random.Random(11)))
     assert any(any(row) for row in W)
@@ -218,10 +245,10 @@ def test_weyl_part_properties():
 def test_weyl_part_self_adjoint(sig):
     # <W(A), B> = <A, W(B)> under the pairing induced by h, for pair
     # matrices that are neither symmetric nor trace-free
-    h = ([[1 if i == j else 0 for j in range(4)] for i in range(4)]
-         if sig == (4, 0) else _tractor_h(sig))
+    h = _identity(4) if sig == (4, 0) else tractor_metric(sig)
     ps = PairSpace(len(h))
-    H = pair_metric(ps, h)
+    H = dense_W([[Q(int(b == a)) for b in range(4)] for a in range(4)]
+                if sig == (4, 0) else dense_h(sig))
     rng = random.Random(sum(sig))
     A, B = _random_pair_matrix(ps, rng), _random_pair_matrix(ps, rng)
     lhs = _pairing(H, weyl_part(ps, h, A), B)
@@ -232,7 +259,7 @@ def test_weyl_part_self_adjoint(sig):
 @pytest.mark.parametrize("sig", [(3, 0), (2, 1), (4, 0)])
 def test_weyl_part_rank(sig):
     # its image on Sym^2 Lambda^2 of the tractor space is the (2,2) module
-    h = _tractor_h(sig)
+    h = tractor_metric(sig)
     ps = PairSpace(len(h))
     P = ps.npairs()
     rows = []
@@ -247,13 +274,16 @@ def test_weyl_part_rank(sig):
 
 
 def test_pair_metric_is_half_kulkarni_nomizu_square():
-    h = _tractor_h((2, 1))
+    # the pairing read from the involution is h o h, which is
+    # 2 (h_ac h_bd - h_ad h_bc)
+    h, inv = dense_h((2, 1)), tractor_metric((2, 1))
     ps = PairSpace(len(h))
-    W = pair_metric(ps, h)
+    W = kulkarni_nomizu(ps, h, inv)
     for p, (a, b) in enumerate(ps.pairs):
-        for q, (c, d) in enumerate(ps.pairs):
-            assert W[p][q] == 2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
-    assert kulkarni_nomizu(ps, h, h) == W
+        q, w = pair_involution(inv)[p]
+        for j, (c, d) in enumerate(ps.pairs):
+            assert W[p][j] == 2 * (h[a][c] * h[b][d] - h[a][d] * h[b][c])
+            assert W[p][j] == (w if j == q else 0)
 
 
 def test_add_rejects_other_rank():

@@ -5,13 +5,13 @@ import pytest
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
-from tractor_symm.tensor import Metric
+from tractor_symm.tensor import Metric, tractor_metric
 from tractor_symm.tractor import (TractorField, SlotKind, nabla, tractor_D,
                                   double_D, fund_D, casimir, x_mult,
-                                  contract, permute_slots, hmat, pair_space,
-                                  parallel_extend, _pair_W)
+                                  contract, permute_slots, pair_space,
+                                  parallel_extend)
 
-from conftest import random_poly
+from conftest import random_poly, dense_h, dense_W
 
 
 MET = Metric.euclidean(3)
@@ -19,13 +19,19 @@ N = 3
 
 
 def test_tractor_metric():
-    h = hmat(MET)
-    # self-inverse
-    size = N + 2
-    for i in range(size):
-        for j in range(size):
-            s = sum(h[i][k] * h[k][j] for k in range(size))
-            assert s == (1 if i == j else 0)
+    # the dense h is its own inverse, and the signed involution is an
+    # involution that gives back every entry of it
+    for sig in ((3, 0), (2, 1), (1, 2), (2, 2)):
+        h, inv = dense_h(sig), tractor_metric(sig)
+        size = len(h)
+        assert len(inv) == size
+        for i in range(size):
+            ibar, hi = inv[i]
+            assert inv[ibar] == (i, hi)
+            for j in range(size):
+                s = sum(h[i][k] * h[k][j] for k in range(size))
+                assert s == (1 if i == j else 0)
+                assert h[i][j] == (hi if j == ibar else 0)
 
 
 def test_nabla_of_density():
@@ -42,7 +48,7 @@ def test_x_is_parallel_and_null():
     X = x_mult(one)
     assert X.weight == Q(1)
     # contraction of X with itself through h vanishes (X is null)
-    h = hmat(MET)
+    h = dense_h(MET.key())
     s = Poly.zero(N)
     for (a,), p in X.comps.items():
         for (b,), q in X.comps.items():
@@ -64,7 +70,7 @@ def test_tractor_D_on_density():
 
 def test_double_D_squared_trace(rng):
     # D^A D_A = -2w(n+w) on densities
-    Wm = _pair_W(MET.key())
+    Wm = dense_W(dense_h(MET.key()))
     for w in (Q(0), Q(2), Q(-1, 2), Q(3)):
         f = random_poly(N, 3, rng)
         t = double_D(double_D(TractorField.density(MET, w, f)))
@@ -87,7 +93,7 @@ def test_casimir_on_density(rng):
 
 
 def test_commutator_D_X(rng):
-    h = hmat(MET)
+    h = dense_h(MET.key())
     ps = pair_space(N)
     for w in (Q(0), Q(2), Q(-3, 2)):
         f = TractorField.density(MET, w, random_poly(N, 3, rng))
@@ -150,7 +156,7 @@ def test_contract_density():
     a = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
     b = TractorField(MET, Q(0), (SlotKind.FORM,), {(0,): 1})
     v = contract(a, b).get(())
-    Wm = _pair_W(MET.key())
+    Wm = dense_W(dense_h(MET.key()))
     assert v == Poly.const(N, Wm[0][0])
 
 
@@ -159,7 +165,8 @@ def contract_pairs(t1, t2):
     W or the base metric; an oracle for contract."""
     metric = t1.metric
     k = len(t1.slots)
-    h, Wm = hmat(metric), _pair_W(metric.key())
+    h = dense_h(metric.key())
+    Wm = dense_W(h)
     out = TractorField(metric, t1.weight + t2.weight, t2.slots[k:],
                        nvars=max(t1.nvars(), t2.nvars()))
     for i1, p1 in t1.comps.items():
