@@ -25,8 +25,7 @@ from itertools import combinations_with_replacement
 from .scalars import Q, ZERO, ONE
 from .poly import Poly
 from .tensor import (Metric, SymTensor, kulkarni_nomizu, ricci, weyl_part,
-                     symbol, from_symbol, harmonic_parts, tractor_metric,
-                     pair_involution)
+                     harmonic_parts, tractor_metric, pair_involution)
 from .tractor import (TractorField, SlotKind, pair_space, fund_D2, tractor_D,
                       x_mult)
 from . import ckt, linalg
@@ -241,16 +240,15 @@ def _vector_bracket(phi, phib):
     """Lie bracket of two conformal Killing fields, lower components."""
     metric = phi.metric
     n = metric.n
-    out = SymTensor(metric, 1, weight=2)
+    comps = {}
     for a in range(n):
         v = Poly.zero(n)
         for b in range(n):
             eb = metric.eps[b]
             v = (v + (phi.get((b,)) * phib.get((a,)).diff(b)).scale(eb)
                  - (phib.get((b,)) * phi.get((a,)).diff(b)).scale(eb))
-        if not v.is_zero():
-            out.comps[(a,)] = v
-    return out
+        comps[(a,)] = v
+    return SymTensor(metric, 1, comps, weight=2)
 
 
 def killing_oracle(phi, phib):
@@ -312,16 +310,15 @@ def verify_dec2can(phi, phib, w, max_degree=None):
     _, _, box, bu, br, kl = products = dec2can_products(phi, phib)
     ok_main = _composition_defect(
         products, w, w * (n + w) / (n * (n + 1) * (n + 2))).is_zero()
-    # summand identification through the splitting of the product sections
-    # the symmetric product phi phib has symbol sigma(phi) sigma(phib)
-    prod2 = next(harmonic_parts(symbol(phi) * symbol(phib), metric, 2))
-    ok_box = box == ckt.split(from_symbol(prod2, metric, 2, weight=4),
+    # summand identification through the splitting of the product sections:
+    # the symmetric product phi phib has symbol sigma(phi) sigma(phib), and
+    # its harmonic parts are its trace-free part and its trace over n,
+    # g^ab phi_a phib_b / n
+    prod0, trace = harmonic_parts(phi.sym * phib.sym, metric, 2)
+    ok_box = box == ckt.split(SymTensor.wrap(metric, 2, prod0, weight=4),
                               CKTLabel(2, 0))
-    sigma = Poly.zero(n)
-    for a in range(n):
-        sigma = sigma + (phi.get((a,)) * phib.get((a,))).scale(metric.eps[a])
-    sigma = SymTensor(metric, 0, {(): sigma.scale(Q(1, n))}, weight=4)
-    ok_bullet = bu == ckt.split(sigma, CKTLabel(0, 1))
+    ok_bullet = bu == ckt.split(SymTensor.wrap(metric, 0, trace, weight=4),
+                                CKTLabel(0, 1))
     ok_bracket = br == ckt.split(_vector_bracket(phi, phib), CKTLabel(1, 0))
     ok_killing = kl == killing_oracle(phi, phib)
     return {"main": ok_main, "boxtimes": ok_box, "bullet": ok_bullet,

@@ -17,8 +17,8 @@ from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
 from .poly import Poly
-from .tensor import (Metric, random_tracefree, symbol, harmonic_parts,
-                     xi_raise, xi_laplacian, xi_reduce, xi_dx)
+from .tensor import (Metric, random_tracefree, harmonic_parts,
+                     harmonic_norm, xi_raise, xi_laplacian, xi_reduce, xi_dx)
 from .diffop import (StdOp, OpType, compose_raw, normalize_raw,
                      by_xi_degree)
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
@@ -333,7 +333,7 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
             compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw(),
                         levels=range(r - q2 + 1, 2 * r - q2 + 2)), n)
         # one chain of symmetrized gradients (xi . d_x)^s sigma(phi)
-        grad = symbol(phi)
+        grad = phi.sym
         for _ in range(r - q2):
             grad = xi_dx(grad, n)
         for q in range(r + 1):
@@ -350,12 +350,11 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
             oracle = next(harmonic_parts(grad, metric, rank + s))
             if oracle.is_zero():
                 raise CKTError("degenerate sample; re-run with a new seed")
-            # symbol of oracle . nabla^s Delta^R
-            probe = StdOp(metric, {OpType(rank + s, R):
-                                   xi_raise(oracle, metric)}).to_raw()
-            for _ in range(R):
-                probe = xi_laplacian(probe, metric)
-            probe = xi_reduce(probe, metric)
+            # oracle . nabla^s Delta^R has symbol Q^R h, h the raised
+            # oracle, harmonic of xi-degree rank + s; Delta_xi^R takes it
+            # to harmonic_norm(n, rank + s, R) h
+            probe = xi_reduce(xi_raise(oracle, metric), metric).scale(
+                harmonic_norm(n, rank + s, R))
             # lhs must be an exact scalar multiple of the probe
             a = next((lhs.coeff(e) / c for e, c in probe.terms.items()),
                      ZERO)

@@ -12,6 +12,10 @@ sparse and integral.  The equations commute with d_a, so an empty degree
 is followed only by empty ones and the solver stops at the first.  The
 dimension of the full solution space is checked against the Weyl
 dimension formula for so(n+2) with highest weight (2r+p, p, 0, ...).
+A solution is returned as its symbol: the unknown phi_m x^e is the term
+nord(m) x^e xi^m of sigma(phi), and the symmetrized gradient, the
+trace-free part, the split's target and the extracted projecting part
+are all maps on symbols.
 
 The splitting operator embeds a solution as a parallel section of the
 tractor bundle with p skew pairs and 2r symmetric standard slots; it is
@@ -28,8 +32,7 @@ from math import factorial
 from .scalars import Q, ZERO, ONE
 from .poly import Poly, monomials_of_degree
 from .tensor import (Metric, SymTensor, multisets, nord, exponent, multiset,
-                     harmonic_parts, symbol, from_symbol, xi_raise, xi_dx,
-                     tractor_metric)
+                     harmonic_parts, xi_raise, xi_dx, tractor_metric)
 from .tractor import (TractorField, SlotKind, pair_space, parallel_extend,
                       nabla)
 from . import linalg
@@ -67,10 +70,11 @@ def grad_sym0(phi, q):
     On symbols the symmetrized gradient is multiplication by xi . d_x.
     """
     metric, rank = phi.metric, phi.rank + q
-    sym = symbol(phi)
+    sym = phi.sym
     for _ in range(q):
         sym = xi_dx(sym, metric.n)
-    return from_symbol(next(harmonic_parts(sym, metric, rank)), metric, rank)
+    return SymTensor.wrap(metric, rank,
+                          next(harmonic_parts(sym, metric, rank)))
 
 
 def ckt_apply(phi, r):
@@ -212,20 +216,20 @@ def _solve_degree(metric, label, d):
 
     # the kernel basis is fixed by the column order; reversed rows fill less
     basis = linalg.kernel(rows[::-1], ncols)
+    # each phi column (m, e) is the symbol term nord(m) x^e xi^m
     out = []
     inv_cols = {v: k for k, v in cols.items()}
     for i, v in enumerate(basis):
-        t = SymTensor(metric, p, weight=label.weight)
-        nonzero_phi = False
+        terms = {}
         for j in sorted(v):
             kind, m, e = inv_cols[j]
             if kind == "phi":
-                nonzero_phi = True
-                t.add_to(m, Poly.monomial(n, e, v[j]))
-        if not nonzero_phi:
+                terms[e + exponent(m, n)] = v[j] * nord(m)
+        if not terms:
             raise CKTError(f"label {label}, degree {d}: kernel vector {i} "
                            "has a vanishing tensor part")
-        out.append(t)
+        out.append(SymTensor.wrap(metric, p, Poly.wrap(2 * n, terms),
+                                  weight=label.weight))
     return out
 
 
@@ -360,8 +364,9 @@ def extract(t, label):
     """Projecting part of a tractor field with the shape of ``label``,
     with lowered indices, as a SymTensor of weight 2p + 2r."""
     metric = t.metric
-    return from_symbol(xi_raise(_extract_symbol(t, label), metric), metric,
-                       label[0], weight=CKTLabel(*label).weight)
+    return SymTensor.wrap(metric, label[0],
+                          xi_raise(_extract_symbol(t, label), metric),
+                          weight=CKTLabel(*label).weight)
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +407,7 @@ def split(phi, label):
     # extraction equations, one per monomial in (x, xi): the projecting
     # part of the extension must have phi's symbol (raised, to compare
     # upper parts)
-    target = xi_raise(symbol(phi), metric).terms
+    target = xi_raise(phi.sym, metric).terms
     keys = ext.keys() | target.keys()
     rows = crows + [ext.get(k, {}) for k in keys]
     rhs = [ZERO] * len(crows) + [target.get(k, ZERO) for k in keys]

@@ -67,7 +67,7 @@ def _label(args):
 
 
 def _config(args, metric):
-    cfg = {"n": metric.n, "signature": list(metric.signature)}
+    cfg = {"n": metric.n, "signature": list(metric.key())}
     for f in ("k", "p", "r", "d", "t", "seed", "index"):
         v = getattr(args, f, None)
         if v is not None:

@@ -15,16 +15,17 @@ is Q^r sigma(phi).  Operators compose by the symbol product a#b
 (``compose_raw``) and act by sum_alpha c_alpha d^alpha f
 (``apply_raw``).  Normalization splits each xi-degree part of a symbol
 into its harmonic parts (``tensor.harmonic_parts``), the Fischer
-decomposition.  A SymTensor is built only for ``coeff``, ``from_coeff``
-and serialization.
+decomposition.  A SymTensor is its lower-index symbol, so ``coeff`` and
+``from_coeff`` only raise or lower its indices (``tensor.xi_raise``);
+components are read only for serialization.
 """
 
 from operator import lshift
 
 from .scalars import qparse
 from .poly import Poly
-from .tensor import (Metric, SymTensor, symbol, from_symbol, xi_raise,
-                     xi_quadric, harmonic_parts, comps_to_json)
+from .tensor import (Metric, SymTensor, xi_raise, xi_quadric, harmonic_parts,
+                     comps_to_json)
 
 
 class OpType(tuple):
@@ -88,7 +89,7 @@ class StdOp:
         """Single term phi . nabla^p Delta^r from a trace-free SymTensor."""
         metric = coeff.metric
         return cls(metric, {OpType(coeff.rank, r):
-                            xi_raise(symbol(coeff), metric)})
+                            xi_raise(coeff.sym, metric)})
 
     def is_zero(self):
         return not self.terms
@@ -96,7 +97,7 @@ class StdOp:
     def coeff(self, p, r):
         """phi of the term <p|r>, lower indices, as a SymTensor."""
         P = self.terms.get(OpType(p, r), Poly.zero(2 * self.metric.n))
-        return from_symbol(xi_raise(P, self.metric), self.metric, p)
+        return SymTensor.wrap(self.metric, p, xi_raise(P, self.metric))
 
     def greatest_term(self):
         """Largest type present, by (level, order); None for the zero op."""
@@ -160,7 +161,7 @@ class StdOp:
                       self.coeff(*t).comps)}
                  for t in sorted(self.terms, key=OpType.sort_key,
                                  reverse=True)]
-        return {"n": self.metric.n, "signature": list(self.metric.signature),
+        return {"n": self.metric.n, "signature": list(self.metric.key()),
                 "terms": terms}
 
     @classmethod

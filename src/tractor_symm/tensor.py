@@ -1,10 +1,11 @@
 """Symmetric tensors, the covector-symbol calculus and the Weyl part.
 
-Tensors live over a flat diagonal metric of signature (s, s').  Symmetric
-tensors are stored on sorted index multisets.  A rank-p symmetric tensor
-S is also the degree-p polynomial sigma(S) = S(xi, .., xi) in covector
-variables xi: a *symbol*, stored as one Poly in the 2n variables
-(x_1..x_n, xi_1..xi_n), x first.  The symbol sum_alpha c_alpha(x) xi^alpha
+Tensors live over a flat diagonal metric of signature (s, s').  A rank-p
+symmetric tensor S is held as the degree-p polynomial sigma(S) =
+S(xi, .., xi) = sum_m nord(m) S_m(x) xi^m in covector variables xi: a
+*symbol*, one Poly in the 2n variables (x_1..x_n, xi_1..xi_n), x first.
+Its components S_m on sorted index multisets m are a read-only view of
+the symbol (``SymTensor.comps``).  The symbol sum_alpha c_alpha(x) xi^alpha
 of a differential operator (``diffop``) is the same Poly.  Under sigma the
 trace is the xi-Laplacian Delta_xi = sum eps_a d^2/dxi_a^2 (up to the
 factor p(p-1)), g . U is multiplication by the quadric Q = sum eps_a
@@ -31,9 +32,10 @@ an orthogonal projection in every signature: no linear system is solved.
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, lcm
+from types import MappingProxyType
 
 from .scalars import Q, ZERO, ONE, qstr
-from .poly import Poly
+from .poly import Poly, monomials_up_to_degree
 
 
 class Metric:
@@ -51,10 +53,6 @@ class Metric:
     @classmethod
     def euclidean(cls, n):
         return cls(n, 0)
-
-    @property
-    def signature(self):
-        return (self.s, self.sp)
 
     def g(self, a, b):
         return self.eps[a] if a == b else ZERO
@@ -97,77 +95,83 @@ def multiset(e):
 
 
 class SymTensor:
-    """Totally symmetric tensor with polynomial components.
+    """Totally symmetric tensor with polynomial components, held as its
+    symbol.
 
-    Components are indexed by sorted multisets of base indices (lower
-    indices).  ``weight`` records the conformal weight of the section it
+    ``sym`` is sigma(S) = sum_m nord(m) S_m(x) xi^m, one Poly in (x, xi)
+    of degree ``rank`` in xi, with lower indices.  The components S_m on
+    sorted index multisets m are a read-only view of it (``comps``,
+    ``get``).  ``weight`` records the conformal weight of the section it
     represents; it is bookkeeping only and does not affect the algebra.
     """
 
     def __init__(self, metric, rank, comps=None, weight=0):
+        """The tensor with components ``comps``, a dict from index tuples
+        (in any order) to Polys in x or scalars; for a repeated multiset
+        the last value wins."""
+        n = metric.n
+        by_m = {tuple(sorted(m)): p if isinstance(p, Poly)
+                else Poly.const(n, p) for m, p in (comps or {}).items()}
+        terms = {}
+        for m, p in by_m.items():
+            em, k = exponent(m, n), nord(m)
+            for e, c in p.terms.items():
+                terms[e + em] = c * k
         self.metric = metric
         self.rank = rank
         self.weight = Q(weight)
-        self.comps = {}
-        if comps:
-            for m, p in comps.items():
-                m = tuple(sorted(m))
-                if isinstance(p, Poly):
-                    if not p.is_zero():
-                        self.comps[m] = p
-                else:
-                    p = Poly.const(metric.n, p)
-                    if not p.is_zero():
-                        self.comps[m] = p
+        self.sym = Poly.wrap(2 * n, terms)
+
+    @classmethod
+    def wrap(cls, metric, rank, sym, weight=0):
+        """The rank-``rank`` tensor whose symbol is ``sym``, not copied."""
+        t = cls(metric, rank, weight=weight)
+        t.sym = sym
+        return t
 
     @classmethod
     def zero(cls, metric, rank, weight=0):
         return cls(metric, rank, weight=weight)
 
-    def get(self, idx):
-        key = tuple(sorted(idx))
-        return self.comps.get(key, Poly.zero(self.metric.n))
+    @property
+    def comps(self):
+        """Read-only {sorted multiset m: S_m}: the xi^m part of the
+        symbol over nord(m), without zero components."""
+        n = self.metric.n
+        by_xi = {}
+        for e, c in self.sym.terms.items():
+            by_xi.setdefault(e[n:], {})[e[:n]] = c
+        out = {}
+        for ex, terms in by_xi.items():
+            m = multiset(ex)
+            p, k = Poly.wrap(n, terms), nord(m)
+            out[m] = p.scale(Q(1, k)) if k > 1 else p
+        return MappingProxyType(out)
 
-    def add_to(self, idx, p):
-        key = tuple(sorted(idx))
-        cur = self.comps.get(key)
-        s = p if cur is None else cur + p
-        if s.is_zero():
-            self.comps.pop(key, None)
-        else:
-            self.comps[key] = s
+    def get(self, idx):
+        return self.comps.get(tuple(sorted(idx)), Poly.zero(self.metric.n))
 
     def is_zero(self):
-        return all(p.is_zero() for p in self.comps.values())
+        return self.sym.is_zero()
 
     def __add__(self, other):
         if self.rank != other.rank:
             raise ValueError(f"adding a rank-{other.rank} tensor to a "
                              f"rank-{self.rank} one")
-        out = SymTensor(self.metric, self.rank, weight=self.weight)
-        out.comps = dict(self.comps)
-        for m, p in other.comps.items():
-            out.add_to(m, p)
-        return out
+        return SymTensor.wrap(self.metric, self.rank, self.sym + other.sym,
+                              weight=self.weight)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        out = SymTensor(self.metric, self.rank, weight=self.weight)
-        for m, p in self.comps.items():
-            q = p.scale(c)
-            if not q.is_zero():
-                out.comps[m] = q
-        return out
+        return SymTensor.wrap(self.metric, self.rank, self.sym.scale(c),
+                              weight=self.weight)
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
-        if self.rank != other.rank:
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.get(k) == other.get(k) for k in keys)
+        return self.rank == other.rank and self.sym == other.sym
 
     def __repr__(self):
         body = ", ".join(f"{m}: {p}" for m, p in sorted(self.comps.items()))
@@ -184,31 +188,6 @@ def comps_to_json(comps):
 # ----------------------------------------------------------------------
 # covector symbols: Polys in (x, xi), 2n variables, x first
 # ----------------------------------------------------------------------
-
-def symbol(t):
-    """sigma(S) = sum_m nord(m) S_m(x) xi^m, the polynomial S(xi, .., xi)."""
-    n = t.metric.n
-    out = {}
-    for m, p in t.comps.items():
-        em, k = exponent(m, n), nord(m)
-        for e, c in p.terms.items():
-            out[e + em] = c * k if k > 1 else c
-    return Poly.wrap(2 * n, out)
-
-
-def from_symbol(P, metric, rank, weight=0):
-    """Inverse of symbol(): the rank-``rank`` tensor whose symbol is P."""
-    n = metric.n
-    by_xi = {}
-    for e, c in P.terms.items():
-        by_xi.setdefault(e[n:], {})[e[:n]] = c
-    out = SymTensor(metric, rank, weight=weight)
-    for ex, terms in by_xi.items():
-        m = multiset(ex)
-        p, k = Poly.wrap(n, terms), nord(m)
-        out.comps[m] = p.scale(Q(1, k)) if k > 1 else p
-    return out
-
 
 def xi_raise(P, metric):
     """Raise (equivalently lower) every index: xi^e gets prod eps_a^e_a."""
@@ -298,6 +277,15 @@ def xi_dx(P, n):
         (_moved(_moved(e, a, -1), n + a, 1), e[a]) for a in range(n) if e[a]])
 
 
+def harmonic_norm(n, d, q):
+    """N = prod_{i=1..q} 2i (n + 2d + 2i - 2): Delta_xi^q (Q^q h) = N h
+    for every harmonic symbol h of xi-degree d in n covector variables."""
+    out = 1
+    for i in range(1, q + 1):
+        out *= 2 * i * (n + 2 * d + 2 * i - 2)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _trace_decomp_solver(sig, p):
     """Scalar coefficients of the closed-form trace decomposition at rank p.
@@ -308,8 +296,8 @@ def _trace_decomp_solver(sig, p):
         a_0 = 1,  a_j = -a_{j-1} / (2j (n + 2d - 2j - 2)),
 
     is the harmonic projection of a degree-d symbol and N_q =
-    prod_{i=1..q} 2i (n + 2d + 2i - 2) is the factor by which
-    Delta_xi^q (Q^q h) exceeds h for harmonic h of degree d.  Then
+    ``harmonic_norm(n, d, q)`` is the factor by which Delta_xi^q (Q^q h)
+    exceeds h for harmonic h of degree d.  Then
     sigma(U_q) = Harm_d(Delta_xi^q sigma(S)) / N_q.  Entry q is (u, w):
     the integers u_j = c_j w over w, the lcm of the denominators of the
     c_j.  (perfbench reads this function's cache_info under this name.)
@@ -318,10 +306,7 @@ def _trace_decomp_solver(sig, p):
     table = []
     for q in range(p // 2 + 1):
         d = p - 2 * q
-        norm = ONE
-        for i in range(1, q + 1):
-            norm *= 2 * i * (n + 2 * d + 2 * i - 2)
-        a = [ONE / norm]
+        a = [Q(1, harmonic_norm(n, d, q))]
         for j in range(1, d // 2 + 1):
             a.append(-a[-1] / (2 * j * (n + 2 * d - 2 * j - 2)))
         w = lcm(*(c.denominator for c in a))
@@ -357,19 +342,18 @@ def harmonic_parts(P, metric, p):
 
 def trace_free(t):
     """Trace-free part of a symmetric tensor."""
-    return from_symbol(next(harmonic_parts(symbol(t), t.metric, t.rank)),
-                       t.metric, t.rank, weight=t.weight)
+    return SymTensor.wrap(t.metric, t.rank,
+                          next(harmonic_parts(t.sym, t.metric, t.rank)),
+                          weight=t.weight)
 
 
 def random_tracefree(metric, rank, degree, rng, weight=0):
     """Random trace-free symmetric tensor with polynomial entries."""
-    t = SymTensor(metric, rank, weight=weight)
-    from .poly import monomials_up_to_degree
-    for m in multisets(metric.n, rank):
-        terms = {e: Q(rng.randint(-9, 9))
-                 for e in monomials_up_to_degree(metric.n, degree)}
-        t.comps[m] = Poly(metric.n, terms)
-    return trace_free(t)
+    comps = {m: Poly(metric.n, {
+                 e: Q(rng.randint(-9, 9))
+                 for e in monomials_up_to_degree(metric.n, degree)})
+             for m in multisets(metric.n, rank)}
+    return trace_free(SymTensor(metric, rank, comps, weight=weight))
 
 
 # ----------------------------------------------------------------------

@@ -61,14 +61,13 @@ def trace(t):
     metric = t.metric
     if t.rank < 2:
         raise ValueError(f"trace of a rank-{t.rank} tensor")
-    out = SymTensor(metric, t.rank - 2, weight=t.weight)
+    comps = {}
     for m in multisets(metric.n, t.rank - 2):
         total = Poly.zero(metric.n)
         for a in range(metric.n):
             total = total + t.get(m + (a, a)).scale(metric.eps[a])
-        if not total.is_zero():
-            out.comps[m] = total
-    return out
+        comps[m] = total
+    return SymTensor(metric, t.rank - 2, comps, weight=t.weight)
 
 
 def g_odot(t):
@@ -78,7 +77,7 @@ def g_odot(t):
     (a, a); only those see a nonzero metric entry.
     """
     metric = t.metric
-    out = SymTensor(metric, t.rank + 2, weight=t.weight)
+    comps = {}
     for m in multisets(metric.n, t.rank + 2):
         total = Poly.zero(metric.n)
         for a in sorted(set(m)):
@@ -89,9 +88,8 @@ def g_odot(t):
             rest.remove(a)
             rest = tuple(rest)
             total = total + t.get(rest).scale(metric.eps[a] * nord(rest))
-        if not total.is_zero():
-            out.comps[m] = total.scale(Q(1, nord(m)))
-    return out
+        comps[m] = total.scale(Q(1, nord(m)))
+    return SymTensor(metric, t.rank + 2, comps, weight=t.weight)
 
 
 # dense forms of the tractor metric, its Lambda^2 pairing and the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,21 @@ def test_ckt_dim(capsys):
     assert doc["schema"] == "tractor-symm/1"
     assert doc["result"]["dim"] == 10
     assert doc["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "3", "--p", "2", "--r", "0"],
+     "caac5cff098d97febad322b744067be261af9cfc85fa9b9b9ca3f1637a2ba6fc"),
+    (["--signature", "2,1", "--p", "1", "--r", "1"],
+     "29438096ecd6566341aabee06beab1a71b63d84a38c9fdfbac87967464ae0f19"),
+    (["--n", "3", "--p", "0", "--r", "2"],
+     "582483c2e6594b4084ee0724a01e059a55515d18553f70765f62f31ec91ee28e"),
+], ids=["2,0-n3", "1,1-sig21", "0,2-n3"])
+def test_ckt_basis_golden(capsys, argv, digest):
+    # the kernel basis fixes every --index, so its JSON must not move
+    assert run(["ckt", "basis"] + argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cmatrix_det(capsys):

@@ -1,5 +1,6 @@
 """Bad arguments raise ValueError naming the value, also under python -O."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,17 @@ def test_checks_survive_python_O():
         env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "5 passed" in out.stdout
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so src checks raise instead
+    pkg = os.path.dirname(linalg.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            path = os.path.join(pkg, name)
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src: " + ", ".join(found)

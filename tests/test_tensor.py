@@ -1,30 +1,29 @@
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
-from tractor_symm.poly import Poly, monomials_up_to_degree
+from tractor_symm.poly import Poly, monomials_of_degree, monomials_up_to_degree
 from tractor_symm.tensor import (Metric, SymTensor, trace_free, multisets,
-                                 random_tracefree, symbol, from_symbol,
-                                 harmonic_parts, xi_laplacian, xi_quadric,
+                                 random_tracefree, harmonic_parts,
+                                 harmonic_norm, xi_laplacian, xi_quadric,
                                  xi_raise, xi_dx, xi_reduce, PairSpace, kulkarni_nomizu,
                                  tractor_metric, pair_involution, weyl_part)
 from tractor_symm.ckt import weyl_dim
 from tractor_symm.algebra import brute_dim_oracle
 from tractor_symm import linalg
 
-from conftest import (trace, g_odot, dense_h, dense_W,
+from conftest import (trace, g_odot, random_poly, dense_h, dense_W,
                       kulkarni_nomizu_dense)
 
 
 def test_metric_trace():
     met = Metric.euclidean(3)
-    g = SymTensor(met, 2)
-    for a in range(3):
-        g.add_to((a, a), Poly.const(3, met.g(a, a)))
+    g = SymTensor(met, 2, {(a, a): Poly.const(3, met.g(a, a))
+                           for a in range(3)})
     assert trace(g).get(()) == Poly.const(3, 3)
 
 
@@ -59,17 +58,16 @@ def _scalar(rng, span, dens):
 
 
 def _random_tensor(met, rank, rng, dens=None):
-    t = SymTensor(met, rank)
-    for m in multisets(met.n, rank):
-        t.add_to(m, Poly.const(met.n, _scalar(rng, 3, dens)))
-    return t
+    return SymTensor(met, rank, {
+        m: Poly.const(met.n, _scalar(rng, 3, dens))
+        for m in multisets(met.n, rank)})
 
 
 def _check_decomposition(t):
     # trace and g_odot work on indices, apart from the symbol calculus
     met, p = t.metric, t.rank
-    parts = [from_symbol(h, met, p - 2 * q)
-             for q, h in enumerate(harmonic_parts(symbol(t), met, p))]
+    parts = [SymTensor.wrap(met, p - 2 * q, h)
+             for q, h in enumerate(harmonic_parts(t.sym, met, p))]
     assert len(parts) == p // 2 + 1
     rebuilt = SymTensor.zero(met, p)
     for q, u in enumerate(parts):
@@ -81,8 +79,8 @@ def _check_decomposition(t):
     assert rebuilt == t
     assert trace_free(t) == parts[0]
     # the parts commute with raising indices
-    up = list(harmonic_parts(xi_raise(symbol(t), met), met, p))
-    assert [from_symbol(xi_raise(h, met), met, p - 2 * q)
+    up = list(harmonic_parts(xi_raise(t.sym, met), met, p))
+    assert [SymTensor.wrap(met, p - 2 * q, xi_raise(h, met))
             for q, h in enumerate(up)] == parts
 
 
@@ -101,10 +99,10 @@ def test_symbol_calculus_matches_indices(sig):
     met = Metric(*sig)
     for dens in (None, (2, 3, 7)):
         t = _random_tensor(met, 4, random.Random(sum(sig)), dens)
-        assert from_symbol(symbol(t), met, 4) == t
-        lap = xi_laplacian(symbol(t), met).scale(Q(1, 12))
-        assert from_symbol(lap, met, 2) == trace(t)
-        assert from_symbol(xi_quadric(symbol(t), met), met, 6) == g_odot(t)
+        assert SymTensor(met, 4, t.comps) == t
+        lap = xi_laplacian(t.sym, met).scale(Q(1, 12))
+        assert SymTensor.wrap(met, 2, lap) == trace(t)
+        assert SymTensor.wrap(met, 6, xi_quadric(t.sym, met)) == g_odot(t)
         _check_decomposition(t)
 
 
@@ -130,7 +128,7 @@ def test_xi_reduce_is_remainder_mod_quadric(sig):
 def test_trace_decomposition_rank10():
     t = _random_tensor(Metric.euclidean(3), 10, random.Random(10))
     start = time.perf_counter()
-    list(harmonic_parts(symbol(t), t.metric, t.rank))
+    list(harmonic_parts(t.sym, t.metric, t.rank))
     assert time.perf_counter() - start < 5
     _check_decomposition(t)
 
@@ -147,17 +145,16 @@ def test_xi_dx_is_symmetrized_gradient():
     n = met.n
     for dens in (None, (2, 3, 7)):
         rng = random.Random(5)
-        t = SymTensor(met, 2)
-        for m in multisets(n, 2):
-            t.add_to(m, Poly(n, {e: _scalar(rng, 3, dens) for e in
-                                 ((2, 0, 1), (0, 1, 1), (1, 0, 0))}))
-        want = SymTensor(met, 3)
-        for m in multisets(n, 3):
-            # (1/3) sum over the three choices of the derivative slot
-            want.add_to(m, sum((t.get(m[:i] + m[i + 1:]).diff(m[i])
-                                for i in range(3)),
-                               Poly.zero(n)).scale(Q(1, 3)))
-        assert from_symbol(xi_dx(symbol(t), n), met, 3) == want
+        t = SymTensor(met, 2, {
+            m: Poly(n, {e: _scalar(rng, 3, dens) for e in
+                        ((2, 0, 1), (0, 1, 1), (1, 0, 0))})
+            for m in multisets(n, 2)})
+        # (1/3) sum over the three choices of the derivative slot
+        want = SymTensor(met, 3, {
+            m: sum((t.get(m[:i] + m[i + 1:]).diff(m[i]) for i in range(3)),
+                   Poly.zero(n)).scale(Q(1, 3))
+            for m in multisets(n, 3)})
+        assert SymTensor.wrap(met, 3, xi_dx(t.sym, n)) == want
 
 
 def test_random_tracefree_is_tracefree():
@@ -292,3 +289,104 @@ def test_add_rejects_other_rank():
     b = SymTensor(met, 2, {(0, 1): 1})
     with pytest.raises(ValueError, match="rank"):
         a + b
+
+
+# the symbol is the representation; components are a read-only view
+
+
+def _index_form_symbol(comps, n):
+    """sum over ordered index tuples aa of S_aa xi^aa, by the index form:
+    every ordering of a multiset carries its component."""
+    out = Poly.zero(2 * n)
+    for m, p in comps.items():
+        for aa in set(permutations(m)):
+            ex = tuple(aa.count(a) for a in range(n))
+            out = out + Poly(2 * n, {e + ex: c for e, c in p.terms.items()})
+    return out
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (2, 2)])
+def test_comps_symbol_roundtrip(sig):
+    met = Metric(*sig)
+    n = met.n
+    rng = random.Random(3 * sig[0] + sig[1])
+    for rank in range(5):
+        want = {}
+        given = {}
+        for m in multisets(n, rank):
+            key = tuple(rng.sample(m, len(m)))  # unsorted index keys
+            kind = rng.random()
+            if kind < 0.3:
+                v = rng.randint(-3, 3)  # a scalar value
+                p = Poly.const(n, v)
+            else:
+                p = v = random_poly(n, 2, rng) if kind < 0.8 else Poly.zero(n)
+            given[key] = v
+            if not p.is_zero():
+                want[m] = p
+        if rank >= 2:
+            # a repeated multiset under two orderings: the last value wins
+            m = (0,) * (rank - 1) + (1,)
+            given = {k: v for k, v in given.items() if tuple(sorted(k)) != m}
+            given[m] = Poly.var(n, 1)
+            given[m[::-1]] = Poly.var(n, 0)
+            want[m] = Poly.var(n, 0)
+        t = SymTensor(met, rank, given)
+        assert dict(t.comps) == want
+        assert t.sym == _index_form_symbol(want, n)
+        assert t.sym.nvars == 2 * n
+        assert all(sum(e[n:]) == rank for e in t.sym.terms)
+        back = SymTensor(met, rank, t.comps)
+        assert back == t and dict(back.comps) == want
+
+
+def test_get_absent_is_zero_poly():
+    met = Metric(2, 1)
+    t = SymTensor(met, 2, {(0, 1): Poly.var(3, 2)})
+    assert t.get((1, 0)) == Poly.var(3, 2)
+    for idx in ((0, 0), (2, 1)):
+        z = t.get(idx)
+        assert z == Poly.zero(3) and z.nvars == 3
+    assert SymTensor.zero(met, 3).get((0, 1, 2)) == Poly.zero(3)
+
+
+def test_eq_compares_symbols_not_weight():
+    met = Metric(3, 0)
+    a = SymTensor(met, 1, {(0,): 1}, weight=2)
+    assert a == SymTensor(met, 1, {(0,): Poly.const(3, 1)})
+    assert a != SymTensor(met, 1, {(1,): 1}, weight=2)
+    assert a != SymTensor(met, 1, {(0,): 2}, weight=2)
+    assert a.scale(3) - a - a == a
+    assert (a - a).is_zero() and (a - a) == SymTensor.zero(met, 1)
+
+
+def test_comps_are_read_only():
+    t = SymTensor(Metric(2, 1), 1, {(0,): 1})
+    with pytest.raises(TypeError):
+        t.comps[(1,)] = Poly.const(3, 1)
+    with pytest.raises(TypeError):
+        del t.comps[(0,)]
+    assert dict(t.comps) == {(0,): Poly.const(3, 1)}
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_harmonic_norm(sig):
+    # Delta_xi^R Q^R h = harmonic_norm(n, d, R) h for harmonic h of
+    # xi-degree d, on random harmonic symbols in (x, xi)
+    met = Metric(*sig)
+    n = met.n
+    rng = random.Random(sum(sig) + 40)
+    for d in range(5):
+        P = Poly(2 * n, {e + f: Q(rng.randint(-5, 5), rng.randint(1, 3))
+                         for e in monomials_up_to_degree(n, 1)
+                         for f in monomials_of_degree(n, d)})
+        h = next(harmonic_parts(P, met, d))
+        assert not h.is_zero()
+        assert xi_laplacian(h, met).is_zero()
+        for R in range(4):
+            up = h
+            for _ in range(R):
+                up = xi_quadric(up, met)
+            for _ in range(R):
+                up = xi_laplacian(up, met)
+            assert up == h.scale(harmonic_norm(n, d, R))
