@@ -240,34 +240,39 @@ def _vector_bracket(phi, phib):
     """Lie bracket of two conformal Killing fields, lower components."""
     metric = phi.metric
     n = metric.n
+    f, fb = _covector(phi), _covector(phib)
     comps = {}
     for a in range(n):
         v = Poly.zero(n)
         for b in range(n):
             eb = metric.eps[b]
-            v = (v + (phi.get((b,)) * phib.get((a,)).diff(b)).scale(eb)
-                 - (phib.get((b,)) * phi.get((a,)).diff(b)).scale(eb))
+            v = (v + (f[b] * fb[a].diff(b)).scale(eb)
+                 - (fb[b] * f[a].diff(b)).scale(eb))
         comps[(a,)] = v
     return SymTensor(metric, 1, comps, weight=2)
+
+
+def _covector(phi):
+    """[phi_0, .., phi_{n-1}], from one read of the component view."""
+    comps, zero = phi.comps, Poly.zero(phi.metric.n)
+    return [comps.get((a,), zero) for a in range(phi.metric.n)]
 
 
 def killing_oracle(phi, phib):
     """Explicit formula for the pairing in terms of the two fields."""
     metric = phi.metric
     n = metric.n
-
-    def up(t, a):
-        return t.get((a,)).scale(metric.eps[a])
-
-    div1 = sum((up(phi, a).diff(a) for a in range(n)), Poly.zero(n))
-    div2 = sum((up(phib, a).diff(a) for a in range(n)), Poly.zero(n))
+    u, ub = ([c.scale(e) for c, e in zip(_covector(t), metric.eps)]
+             for t in (phi, phib))
+    div1 = sum((u[a].diff(a) for a in range(n)), Poly.zero(n))
+    div2 = sum((ub[a].diff(a) for a in range(n)), Poly.zero(n))
     t1 = Poly.zero(n)
     for a in range(n):
-        t1 = t1 + up(phi, a) * div2.diff(a) + up(phib, a) * div1.diff(a)
+        t1 = t1 + u[a] * div2.diff(a) + ub[a] * div1.diff(a)
     t2 = Poly.zero(n)
     for a in range(n):
         for b in range(n):
-            t2 = t2 + up(phi, b).diff(a) * up(phib, a).diff(b)
+            t2 = t2 + u[b].diff(a) * ub[a].diff(b)
     val = t1.scale(-2) + t2.scale(n) - (div1 * div2).scale(Q(n - 2, n))
     if not val.is_constant():
         raise CKTError(f"Killing pairing formula gives {val}, not constant")

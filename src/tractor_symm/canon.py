@@ -36,7 +36,8 @@ class CanonicalSymmetry:
         self.I = I
         n, pad = I.metric.n, (0,) * I.metric.n  # I in (x, xi), constant in xi
         self._I_xi = TractorField(I.metric, I.weight, I.slots, {
-            idx: Poly.wrap(2 * n, {e + pad: c for e, c in p.terms.items()})
+            idx: Poly.wrap(2 * n, {e + pad: c for e, c in p.nums.items()},
+                           p.den)
             for idx, p in I.comps.items()})
         self.label = CKTLabel(*label)
         self.metric = I.metric
@@ -341,7 +342,7 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
             s = r + q - q2 + 1
             o = p + r + 2 * k - q - 1
             # each xi-degree is read once: pop releases it
-            part = Poly.wrap(2 * n, by_order.pop(o, {}))
+            part = by_order.pop(o, Poly.zero(2 * n))
             for _ in range(R):
                 part = xi_laplacian(part, metric)
             lhs = xi_reduce(part, metric)
@@ -356,7 +357,7 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
             probe = xi_reduce(xi_raise(oracle, metric), metric).scale(
                 harmonic_norm(n, rank + s, R))
             # lhs must be an exact scalar multiple of the probe
-            a = next((lhs.coeff(e) / c for e, c in probe.terms.items()),
+            a = next((lhs.coeff(e) / probe.coeff(e) for e in probe.nums),
                      ZERO)
             if lhs != probe.scale(a):
                 raise CKTError("constraint coefficient is not scalar")

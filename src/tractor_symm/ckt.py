@@ -27,7 +27,7 @@ connection.
 from functools import lru_cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
-from math import factorial
+from math import factorial, lcm
 
 from .scalars import Q, ZERO, ONE
 from .poly import Poly, monomials_of_degree
@@ -220,15 +220,15 @@ def _solve_degree(metric, label, d):
     out = []
     inv_cols = {v: k for k, v in cols.items()}
     for i, v in enumerate(basis):
-        terms = {}
-        for j in sorted(v):
-            kind, m, e = inv_cols[j]
-            if kind == "phi":
-                terms[e + exponent(m, n)] = v[j] * nord(m)
-        if not terms:
+        phi = [(inv_cols[j][1:], v[j]) for j in sorted(v)
+               if inv_cols[j][0] == "phi"]
+        if not phi:
             raise CKTError(f"label {label}, degree {d}: kernel vector {i} "
                            "has a vanishing tensor part")
-        out.append(SymTensor.wrap(metric, p, Poly.wrap(2 * n, terms),
+        den = lcm(*(c.denominator for _, c in phi))
+        nums = {e + exponent(m, n): c.numerator * (den // c.denominator)
+                * nord(m) for (m, e), c in phi}
+        out.append(SymTensor.wrap(metric, p, Poly.wrap(2 * n, nums, den),
                                   weight=label.weight))
     return out
 
@@ -342,22 +342,15 @@ def _extract_symbol(t, label):
     p, r = label
     n = t.metric.n
     ps = pair_space(n)
-    c2 = Q(2) ** p
-    out = {}
+    out = Poly.zero(2 * n)
     for aa in product(range(n), repeat=p):
         v = t.comps.get(tuple(ps.index[(0, a + 1)] for a in aa)
                         + (0,) * (2 * r))
-        if v is None:
-            continue
-        ex = exponent(aa, n)
-        for e, c in v.terms.items():
-            key = e + ex
-            s = out.get(key, ZERO) + c * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return Poly.wrap(2 * n, out)
+        if v is not None:
+            ex = exponent(aa, n)
+            out = out + Poly.wrap(2 * n, {e + ex: c for e, c in
+                                          v.nums.items()}, v.den)
+    return out.scale(2 ** p)
 
 
 def extract(t, label):
@@ -406,11 +399,11 @@ def split(phi, label):
     expanded_cols, crows, ext = _split_plan(metric.key(), label)
     # extraction equations, one per monomial in (x, xi): the projecting
     # part of the extension must have phi's symbol (raised, to compare
-    # upper parts)
-    target = xi_raise(phi.sym, metric).terms
-    keys = ext.keys() | target.keys()
+    # upper parts), with its numerators as the right-hand side
+    target = xi_raise(phi.sym, metric)
+    keys = ext.keys() | target.nums.keys()
     rows = crows + [ext.get(k, {}) for k in keys]
-    rhs = [ZERO] * len(crows) + [target.get(k, ZERO) for k in keys]
+    rhs = [0] * len(crows) + [target.nums.get(k, 0) for k in keys]
     try:
         cvec = linalg.solve(rows, rhs, len(expanded_cols))
     except linalg.InconsistentSystem:
@@ -422,6 +415,7 @@ def split(phi, label):
     t0 = TractorField(metric, 0, _shape_slots(label))
     for c, ex in zip(cvec, expanded_cols):
         if c:
+            c /= target.den
             for idx, v in ex.items():
                 t0.add_to(idx, Poly.const(metric.n, v * c))
     return parallel_extend(t0)

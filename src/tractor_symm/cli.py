@@ -59,6 +59,12 @@ def _k(args):
     return args.k
 
 
+def _index(args):
+    if args.index is not None and args.index < 0:
+        _usage("need index >= 0, got index = %d" % args.index)
+    return args.index or 0
+
+
 def _label(args):
     if args.p < 0 or args.r < 0:
         _usage("need p >= 0 and r >= 0, got p = %d, r = %d"
@@ -144,7 +150,7 @@ def cmd_split(args):
     metric = _metric(args)
     label = _label(args)
     basis = ckt.solve(metric, label)
-    idxs = range(len(basis)) if args.all_basis else [args.index or 0]
+    idxs = range(len(basis)) if args.all_basis else [_index(args)]
     out = []
     ok = True
     for i in idxs:
@@ -165,7 +171,7 @@ def cmd_symmetry(args):
     if args.action == "build":
         label = _label(args)
         basis = ckt.solve(metric, label)
-        I = ckt.split(basis[args.index or 0], label)
+        I = ckt.split(basis[_index(args)], label)
         w = Q(2 * k - metric.n, 2)
         S = canon.build_S(I, (args.p, args.r), w)
         _emit(args, "symmetry build", _config(args, metric),
@@ -184,7 +190,7 @@ def cmd_symmetry(args):
         basis = ckt.solve(metric, CKTLabel(p, r))
         idxs = (range(len(basis)) if (args.all_basis or
                                       args.action == "sweep")
-                else [args.index or 0])
+                else [_index(args)])
         for i in idxs:
             rep = canon.verify_symmetry(basis[i], (p, r), k)
             entry = {"label": [p, r], "index": i,
@@ -203,7 +209,7 @@ def cmd_compose(args):
     k = _k(args)
     label = _label(args)
     basis = ckt.solve(metric, label)
-    i = args.index or 0
+    i = _index(args)
     rep = canon.verify_symmetry(basis[i], (args.p, args.r), k)
     _emit(args, "compose", _config(args, metric),
           {"lhs": StdOp.laplacian_power(metric, k).compose(

@@ -126,7 +126,7 @@ class StdOp:
     def __eq__(self, other):
         if not isinstance(other, StdOp):
             return NotImplemented
-        return self.terms == other.terms
+        return self.metric == other.metric and self.terms == other.terms
 
     # -- action on polynomials ---------------------------------------
 
@@ -192,22 +192,19 @@ def compose_raw(a, b, levels=None):
     factorial, and d_x of d_x^gamma b.  A branch ends where either side
     vanishes, so S after Delta^k stops at gamma = 0.
 
-    The walk runs on integers: a and b as numerators over their shared
-    denominators D_a and D_b (``Poly.numerators``).  d_xi^gamma / gamma!
-    sends x^b xi^e to prod_i C(e_i, gamma_i) x^b xi^(e - gamma), so it
-    keeps integer numerators integral and each step's 1/m is an exact
-    ``// m``.  An exponent tuple is packed into one int, w bits an entry
-    with 2^w above every exponent of a#b, so the exponent of a product is
-    one addition.  Products are summed in place into one dict of
-    integers, divided by D_a D_b once per output term.  ``levels``, a
+    The walk runs on the integer numerators of a and b.  d_xi^gamma /
+    gamma! sends x^b xi^e to prod_i C(e_i, gamma_i) x^b xi^(e - gamma),
+    so it keeps integer numerators integral and each step's 1/m is an
+    exact ``// m``.  An exponent tuple is packed into one int, w bits an
+    entry with 2^w above every exponent of a#b, so the exponent of a
+    product is one addition.  Products are summed in place into one dict
+    of integers, over the denominator a.den * b.den.  ``levels``, a
     range of |gamma|, keeps only the products at those levels and
     descends no further than its top; the default walks every level.
     """
     if a.nvars != b.nvars:
         raise ValueError(f"symbols in {a.nvars} and {b.nvars} variables")
     n = a.nvars // 2
-    na, den_a = a.numerators()
-    nb, den_b = b.numerators()
     w = (a.degree() + b.degree() + 1).bit_length()
     mask = (1 << w) - 1
     shifts = range(0, 2 * n * w, w)
@@ -242,12 +239,11 @@ def compose_raw(a, b, levels=None):
             if da2:
                 walk(da2, db2, i, m, depth + 1)
 
-    walk({sum(map(lshift, e, shifts)): c for e, c in na.items()},
-         {sum(map(lshift, e, shifts)): c for e, c in nb.items()}, 0, 0, 0)
+    walk({sum(map(lshift, e, shifts)): c for e, c in a.nums.items()},
+         {sum(map(lshift, e, shifts)): c for e, c in b.nums.items()}, 0, 0, 0)
     del walk  # its cell refers to walk: without this, out lives until gc
-    return Poly.from_numerators(
-        a.nvars, {tuple(e >> s & mask for s in shifts): c
-                  for e, c in out.items()}, den_a * den_b)
+    return Poly.wrap(a.nvars, {tuple(e >> s & mask for s in shifts): c
+                               for e, c in out.items()}, a.den * b.den)
 
 
 def _diff(nums, s, mask, m):
@@ -269,22 +265,22 @@ def apply_raw(raw, f):
     if raw.nvars != 2 * n:
         raise ValueError(f"symbol in {raw.nvars} variables on a Poly in {n}")
     by_alpha = {}
-    for e, c in raw.terms.items():
+    for e, c in raw.nums.items():
         by_alpha.setdefault(e[n:], {})[e[:n]] = c
     out = Poly.zero(n)
-    for alpha, terms in by_alpha.items():
+    for alpha, nums in by_alpha.items():
         df = f.diff_multi(alpha)
         if not df.is_zero():
-            out = out + Poly.wrap(n, terms) * df
+            out = out + Poly.wrap(n, nums, raw.den) * df
     return out
 
 
 def by_xi_degree(raw, n):
-    """The term dicts of a symbol's parts, keyed by their degree in xi."""
+    """A symbol's parts, as Polys keyed by their degree in xi."""
     out = {}
-    for e, c in raw.terms.items():
+    for e, c in raw.nums.items():
         out.setdefault(sum(e[n:]), {})[e] = c
-    return out
+    return {o: Poly.wrap(raw.nvars, nums, raw.den) for o, nums in out.items()}
 
 
 def normalize_raw(raw, metric):
@@ -296,7 +292,7 @@ def normalize_raw(raw, metric):
     """
     op = StdOp(metric)
     for o, part in sorted(by_xi_degree(raw, metric.n).items()):
-        parts = harmonic_parts(Poly.wrap(raw.nvars, part), metric, o)
+        parts = harmonic_parts(part, metric, o)
         for q, P in enumerate(parts):
             # <o-2q|q> has order o: no two parts share a type
             if not P.is_zero():

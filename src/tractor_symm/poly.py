@@ -1,63 +1,59 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in ``nvars`` variables x1..xn is a dict mapping exponent
-tuples to nonzero scalars.  Only the handful of operations the operator
-calculus needs are provided: ring arithmetic and partial derivatives.
-The symbol kernels walk a Poly as integer numerators over one shared
-denominator (``numerators`` / ``from_numerators``).
+A polynomial in ``nvars`` variables x1..xn is integer numerators ``nums``
+(exponent tuple -> nonzero int) over one positive ``den`` coprime to them
+all.  The form is canonical: ``==`` and ``hash`` compare it, and the
+arithmetic and the symbol kernels work on it.  ``terms`` computes the
+{exponent: Fraction} dict.  Only ring arithmetic and partial derivatives,
+which the operator calculus needs, are provided.
 """
 
-from math import lcm
+from math import gcd, lcm
 
-from .scalars import Q, ZERO, qstr
+from .scalars import Q, qstr
 
 
 class Poly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars, terms=None):
+        """The Poly with coefficients ``terms``, a dict from exponent
+        tuples to rationals or ints; zero coefficients are dropped."""
+        cs = {tuple(e): Q(c) for e, c in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in cs.values()))
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Q(c)
-                if c:
-                    self.terms[tuple(e)] = c
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in cs.items() if c}
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return cls.wrap(nvars, {})
 
     @classmethod
     def const(cls, nvars, c):
-        p = cls(nvars)
-        c = Q(c)
-        if c:
-            p.terms[(0,) * nvars] = c
-        return p
+        return cls.monomial(nvars, (0,) * nvars, c)
 
     @classmethod
     def monomial(cls, nvars, exps, c=1):
-        p = cls(nvars)
         c = Q(c)
-        if c:
-            p.terms[tuple(exps)] = c
-        return p
+        return cls.wrap(nvars, {tuple(exps): c.numerator} if c else {},
+                        c.denominator)
 
     @classmethod
-    def wrap(cls, nvars, terms):
-        """The Poly with term dict ``terms`` (nonzero values), not copied."""
-        p = cls(nvars)
-        p.terms = terms
+    def wrap(cls, nvars, nums, den=1):
+        """The Poly nums / den, from nonzero integer numerators ``nums``
+        (taken, not copied) and a positive denominator; a common factor
+        of den and the numerators is cancelled."""
+        if den > 1 and (g := gcd(den, *nums.values())) > 1:
+            for e in nums:
+                nums[e] //= g
+            den //= g
+        p = cls.__new__(cls)
+        p.nvars, p.nums, p.den = nvars, nums, den
         return p
-
-    @classmethod
-    def from_numerators(cls, nvars, nums, den):
-        """The Poly with terms nums[e] / den, from integer numerators;
-        zero numerators are dropped."""
-        return cls.wrap(nvars, {e: Q(c, den) for e, c in nums.items() if c})
 
     @classmethod
     def var(cls, nvars, i):
@@ -66,27 +62,26 @@ class Poly:
         e[i] = 1
         return cls.monomial(nvars, e)
 
-    def numerators(self):
-        """(nums, den): the integer numerators of the terms over den, the
-        lcm of their denominators; from_numerators inverts it."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return {e: c.numerator * (den // c.denominator)
-                for e, c in self.terms.items()}, den
+    @property
+    def terms(self):
+        """A new dict {exponent: Fraction} of the coefficients."""
+        den = self.den
+        return {e: Q(c, den) for e, c in self.nums.items()}
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.nvars, ZERO)
+        return self.coeff((0,) * self.nvars)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -98,8 +93,12 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = ({e: c * fa for e, c in self.nums.items()} if fa > 1
+               else dict(self.nums))
+        for e, c in other.nums.items():
+            c *= fb
             s = out.get(e)
             if s is None:
                 out[e] = c
@@ -109,16 +108,12 @@ class Poly:
                 out[e] = s
             else:
                 del out[e]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly.wrap(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -133,8 +128,8 @@ class Poly:
             return self.scale(other)
         self._check(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if e not in out:
                     out[e] = c1 * c2
@@ -144,19 +139,18 @@ class Poly:
                     out[e] = s
                 else:
                     del out[e]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly.wrap(self.nvars, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        c = Q(c)
-        p = Poly(self.nvars)
-        if c:
-            p.terms = {e: cc * c for e, cc in self.terms.items()}
-        return p
+        """c times the Poly, for a rational or int c."""
+        a = c.numerator
+        if not a:
+            return Poly.zero(self.nvars)
+        return Poly.wrap(self.nvars, {e: x * a for e, x in self.nums.items()},
+                         self.den * c.denominator)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -173,24 +167,23 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return self.is_constant() and self.constant_value() == Q(other)
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     # -- calculus -------------------------------------------------------
 
     def diff(self, i):
         """Partial derivative with respect to x_{i+1}."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        p = Poly(self.nvars)
-        p.terms = out
-        return p
+        return Poly.wrap(self.nvars, out, self.den)
 
     def diff_multi(self, alpha):
         p = self
@@ -202,16 +195,17 @@ class Poly:
         return p
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        return Q(self.nums.get(tuple(exps), 0), self.den)
 
     # -- display --------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
+            c = terms[e]
             mono = "*".join(
                 f"x{i + 1}" + (f"^{k}" if k > 1 else "")
                 for i, k in enumerate(e) if k

@@ -112,15 +112,16 @@ class SymTensor:
         n = metric.n
         by_m = {tuple(sorted(m)): p if isinstance(p, Poly)
                 else Poly.const(n, p) for m, p in (comps or {}).items()}
-        terms = {}
+        den = lcm(*(p.den for p in by_m.values()))
+        nums = {}
         for m, p in by_m.items():
-            em, k = exponent(m, n), nord(m)
-            for e, c in p.terms.items():
-                terms[e + em] = c * k
+            em, k = exponent(m, n), nord(m) * (den // p.den)
+            for e, c in p.nums.items():
+                nums[e + em] = c * k
         self.metric = metric
         self.rank = rank
         self.weight = Q(weight)
-        self.sym = Poly.wrap(2 * n, terms)
+        self.sym = Poly.wrap(2 * n, nums, den)
 
     @classmethod
     def wrap(cls, metric, rank, sym, weight=0):
@@ -137,15 +138,14 @@ class SymTensor:
     def comps(self):
         """Read-only {sorted multiset m: S_m}: the xi^m part of the
         symbol over nord(m), without zero components."""
-        n = self.metric.n
+        n, den = self.metric.n, self.sym.den
         by_xi = {}
-        for e, c in self.sym.terms.items():
+        for e, c in self.sym.nums.items():
             by_xi.setdefault(e[n:], {})[e[:n]] = c
         out = {}
-        for ex, terms in by_xi.items():
+        for ex, nums in by_xi.items():
             m = multiset(ex)
-            p, k = Poly.wrap(n, terms), nord(m)
-            out[m] = p.scale(Q(1, k)) if k > 1 else p
+            out[m] = Poly.wrap(n, nums, den * nord(m))
         return MappingProxyType(out)
 
     def get(self, idx):
@@ -171,7 +171,8 @@ class SymTensor:
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return self.rank == other.rank and self.sym == other.sym
+        return (self.metric == other.metric and self.rank == other.rank
+                and self.sym == other.sym)
 
     def __repr__(self):
         body = ", ".join(f"{m}: {p}" for m, p in sorted(self.comps.items()))
@@ -193,7 +194,7 @@ def xi_raise(P, metric):
     """Raise (equivalently lower) every index: xi^e gets prod eps_a^e_a."""
     lo = metric.n + metric.s
     return Poly.wrap(P.nvars, {e: (-c if sum(e[lo:]) % 2 else c)
-                               for e, c in P.terms.items()})
+                               for e, c in P.nums.items()}, P.den)
 
 
 def _moved(e, i, d):
@@ -227,11 +228,8 @@ def _xi_nums(nums, n, images):
 
 
 def _xi_map(P, n, images):
-    """``_xi_nums`` on a Poly: it runs on P's integer numerators
-    (``Poly.numerators``) and divides by their denominator once per
-    output term."""
-    nums, den = P.numerators()
-    return Poly.from_numerators(P.nvars, _xi_nums(nums, n, images), den)
+    """``_xi_nums`` on a Poly: on its numerators, over its denominator."""
+    return Poly.wrap(P.nvars, _xi_nums(P.nums, n, images), P.den)
 
 
 def _laplacian_images(metric):
@@ -319,12 +317,11 @@ def harmonic_parts(P, metric, p):
     time, for the degree-p symbol P = sigma(S): the harmonic parts of the
     Fischer decomposition.  Part q is sum_j c_j Q^j Delta_xi^(q+j) P, by
     Horner's rule in Q.  The parts commute with raising indices.  The
-    Laplacian chain and Horner's rule run on P's integer numerators over
-    den, with c_j = u_j / w; part q is divided by den * w once per term."""
+    Laplacian chain and Horner's rule run on P's integer numerators, with
+    c_j = u_j / w, so part q is over P.den * w."""
     n = metric.n
     lap, quad = _laplacian_images(metric), _quadric_images(metric)
-    nums, den = P.numerators()
-    chain = [nums]
+    chain = [P.nums]
     for _ in range(p // 2):
         chain.append(_xi_nums(chain[-1], n, lap))
     for q, (u, w) in enumerate(_trace_decomp_solver(metric.key(), p)):
@@ -337,7 +334,7 @@ def harmonic_parts(P, metric, p):
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        yield Poly.from_numerators(P.nvars, acc, den * w)
+        yield Poly.wrap(P.nvars, acc, P.den * w)
 
 
 def trace_free(t):

@@ -122,7 +122,8 @@ class TractorField:
     def __eq__(self, other):
         if not isinstance(other, TractorField):
             return NotImplemented
-        if self.slots != other.slots or self.weight != other.weight:
+        if (self.metric, self.slots, self.weight) != (
+                other.metric, other.slots, other.weight):
             return False
         keys = set(self.comps) | set(other.comps)
         return all(self.get(k) == other.get(k) for k in keys)

@@ -45,6 +45,27 @@ def test_ckt_basis_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["algebra", "dec2can", "--n", "3", "--all-basis"],
+     "06637b444110350c592454f0db6736e16999dc92360d81231b95dfe6d78c48a9"),
+    (["decompose", "--signature", "2,1", "--seed", "2"],
+     "7588465f57bca17550e8613a92676cbbc404bee95bfbf0eabc78d03076583060"),
+    (["classify", "--signature", "2,1", "--k", "2", "--seed", "3"],
+     "79be04e64dd1928a6c041f8b79c2d3dc0d9d95655a6e412ab34dacfd3294f525"),
+    (["symmetry", "build", "--n", "3", "--k", "2", "--p", "2", "--r", "0",
+      "--index", "3"],
+     "2044f7f51815bca414eac92cda595073d379ecbfb5b7d0733c736ebd59929f1b"),
+    (["compose", "--n", "3", "--k", "2", "--p", "1", "--r", "0"],
+     "7cc21e832e73e46975d5920e08a17d1d84efd4b2c9e547085b1f8eb365aee827"),
+], ids=["dec2can-all", "decompose-sig21", "classify-sig21", "build-2,0",
+        "compose-1,0"])
+def test_json_golden(capsys, argv, digest):
+    # coefficients reach the JSON through Poly.terms and qstr
+    assert run(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cmatrix_det(capsys):
     code, doc = run_json(capsys, ["cmatrix", "det", "--k", "4", "--d", "2"])
     assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric, random_tracefree
+from tractor_symm.tensor import Metric, SymTensor, random_tracefree
 from tractor_symm.diffop import StdOp, OpType, normalize_raw, compose_raw
 
 
@@ -105,6 +105,10 @@ def test_residual_from_one_symbol_difference():
 def test_other_metric_rejected():
     a = StdOp.laplacian_power(MET, 1)
     b = StdOp.laplacian_power(Metric(2, 1), 1)
+    # the same symbols over another signature are another operator
+    assert a != b
+    assert StdOp.from_coeff(SymTensor(MET, 1, {(0,): 1})) != \
+        StdOp.from_coeff(SymTensor(Metric(2, 1), 1, {(0,): 1}))
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric
 from tractor_symm.ckt import CKTLabel
 from tractor_symm.diffop import OpType
-from tractor_symm import linalg
+from tractor_symm import cli, linalg
 
 
 @pytest.mark.parametrize("make, match", [
@@ -24,6 +24,20 @@ from tractor_symm import linalg
 def test_bad_input_raises_value_error(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+@pytest.mark.parametrize("argv", [
+    ["split"], ["symmetry", "build", "--k", "2"],
+    ["symmetry", "verify", "--k", "2"], ["compose", "--k", "2"],
+], ids=["split", "build", "verify", "compose"])
+def test_negative_index_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv + ["--n", "3", "--p", "1", "--r", "0", "--index", "-1",
+                         "--format", "json"])
+    assert e.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need index >= 0, got index = -1\n"
 
 
 def test_checks_survive_python_O():

@@ -356,6 +356,8 @@ def test_eq_compares_symbols_not_weight():
     assert a == SymTensor(met, 1, {(0,): Poly.const(3, 1)})
     assert a != SymTensor(met, 1, {(1,): 1}, weight=2)
     assert a != SymTensor(met, 1, {(0,): 2}, weight=2)
+    # the same components over another signature are another tensor
+    assert a != SymTensor(Metric(2, 1), 1, {(0,): 1}, weight=2)
     assert a.scale(3) - a - a == a
     assert (a - a).is_zero() and (a - a) == SymTensor.zero(met, 1)
 

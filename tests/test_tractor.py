@@ -34,6 +34,12 @@ def test_tractor_metric():
                 assert h[i][j] == (hi if j == ibar else 0)
 
 
+def test_eq_compares_metric():
+    a = TractorField(MET, 0, (SlotKind.STD,), {(0,): 1})
+    assert a == TractorField(MET, 0, (SlotKind.STD,), {(0,): Q(1)})
+    assert a != TractorField(Metric(2, 1), 0, (SlotKind.STD,), {(0,): 1})
+
+
 def test_nabla_of_density():
     f = TractorField.density(MET, Q(2), Poly.monomial(N, (1, 1, 0)))
     g = nabla(f)
