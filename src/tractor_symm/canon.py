@@ -17,10 +17,9 @@ from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
 from .poly import Poly
-from .tensor import (Metric, random_tracefree, harmonic_parts,
+from .tensor import (Metric, SymTensor, random_tracefree, harmonic_parts,
                      harmonic_norm, xi_raise, xi_laplacian, xi_reduce, xi_dx)
-from .diffop import (StdOp, OpType, compose_raw, normalize_raw,
-                     by_xi_degree)
+from .diffop import StdOp, OpType, compose_raw, by_xi_degree
 from .tractor import (TractorField, nabla, laplacian, laplacian_power,
                       tractor_D, double_D, double_D2, fund_D, fund_D2,
                       x_mult, contract)
@@ -61,10 +60,10 @@ class CanonicalSymmetry:
     __call__ = apply
 
     def std_op(self):
-        """Standard form of S, normalized from one run on the plane wave."""
+        """S as an operator: its symbol is one run on the plane wave."""
         if self._std is None:
             wave = Poly.const(2 * self.metric.n, 1)  # e^{xi.x}
-            self._std = normalize_raw(self.apply(wave), self.metric)
+            self._std = StdOp.wrap(self.metric, self.apply(wave))
         return self._std
 
 
@@ -97,7 +96,7 @@ class SymmetryReport:
 
 
 def verify_symmetry(phi, label, k):
-    """Check Delta^k S_phi = S'_phi Delta^k exactly, in standard form."""
+    """Check Delta^k S_phi = S'_phi Delta^k exactly, on full symbols."""
     label = CKTLabel(*label)
     metric = phi.metric
     n = metric.n
@@ -108,10 +107,9 @@ def verify_symmetry(phi, label, k):
     Sp = build_S(I, label, w_out, check_parallel=False)
     S_std = S.std_op()
     Sp_std = Sp.std_op()
-    # one normalization of the symbol difference sigma(Delta^k S - S' Delta^k)
-    lapk = StdOp.laplacian_power(metric, k).to_raw()
-    residual = normalize_raw(compose_raw(lapk, S_std.to_raw())
-                             - compose_raw(Sp_std.to_raw(), lapk), metric)
+    # sigma(Delta^k S) - sigma(S' Delta^k): zero exactly when they agree
+    lapk = StdOp.laplacian_power(metric, k)
+    residual = lapk.compose(S_std) - Sp_std.compose(lapk)
     return SymmetryReport(k, label, w_in, w_out, residual, S_std, Sp_std,
                           trivial=(label.r >= k))
 
@@ -126,21 +124,22 @@ def leading_checks(report, phi):
     """
     p, r = report.label
     lead = OpType(p, r)
-    out = {}
-    out["leading_is_phi"] = (report.S_std.coeff(p, r) == phi
-                             and report.Sp_std.coeff(p, r) == phi)
-    checks = {"level_bound": True, "order_bound": True,
-              "delta_power_bound": True}
+    # the raised symbol of phi: the term <p|r> of both operators
+    want = xi_raise(phi.sym, phi.metric)
+    out = {"leading_is_phi": True, "level_bound": True, "order_bound": True,
+           "delta_power_bound": True}
     for op in (report.S_std, report.Sp_std):
-        if not all(t.level <= p + r for t in op.terms) or \
-                op.greatest_term() != lead:
-            checks["level_bound"] = False
+        terms = op.terms
+        if terms.get(lead, Poly.zero(want.nvars)) != want:
+            out["leading_is_phi"] = False
+        if not all(t.level <= p + r for t in terms) or \
+                max(terms, key=OpType.sort_key, default=None) != lead:
+            out["level_bound"] = False
         if not all(t.order <= p + 2 * r and
-                   (t.order < p + 2 * r or t == lead) for t in op.terms):
-            checks["order_bound"] = False
-        if not all(t.r <= r for t in op.terms):
-            checks["delta_power_bound"] = False
-    out.update(checks)
+                   (t.order < p + 2 * r or t == lead) for t in terms):
+            out["order_bound"] = False
+        if not all(t.r <= r for t in terms):
+            out["delta_power_bound"] = False
     out["all"] = all(out.values())
     return out
 
@@ -321,7 +320,7 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
         metric = Metric.euclidean(3)
     n = metric.n
     rng = random.Random(seed)
-    rawL = StdOp.laplacian_power(metric, k).to_raw()
+    lap = StdOp.laplacian_power(metric, k).sym
     mat = [[None] * (r + 1) for _ in range(r + 1)]
     for q2 in range(r + 1):
         rank = p + q2
@@ -331,7 +330,7 @@ def extract_constraint_matrix(k, p, r, metric=None, seed=0):
         by_order = grad = None
         # the xi-degrees o read below come from |gamma| = r - q2 + 1 + q
         by_order = by_xi_degree(
-            compose_raw(rawL, StdOp.from_coeff(phi, rdeg).to_raw(),
+            compose_raw(lap, StdOp.from_coeff(phi, rdeg).sym,
                         levels=range(r - q2 + 1, 2 * r - q2 + 2)), n)
         # one chain of symmetrized gradients (xi . d_x)^s sigma(phi)
         grad = phi.sym
@@ -395,16 +394,20 @@ def classify(op, k):
     w = Q(2 * k - n, 2)
     tail = StdOp.zero(metric)
     pieces = []
-    residual = op
-    while not residual.is_zero():
-        t = residual.greatest_term()
+    residual, last = op, None
+    while terms := residual.terms:
+        t = max(terms, key=OpType.sort_key)
+        if last is not None and t.sort_key() >= last.sort_key():
+            raise ClassificationError(
+                f"subtracting the canonical symmetry for {last!r} left "
+                f"greatest term {t!r}; no strict decrease")
+        last, P = t, terms[t]
         if t.r >= k:
             # phi nabla^p Delta^r = (phi nabla^p Delta^{r-k}) Delta^k
-            P = residual.terms[t]
             tail = tail + StdOp(metric, {(t.p, t.r - k): P})
             residual = residual - StdOp(metric, {t: P})
             continue
-        phi = residual.coeff(*t)
+        phi = SymTensor.wrap(metric, t.p, xi_raise(P, metric))
         label = CKTLabel(t.p, t.r)
         viol = ckt.ckt_apply(phi, t.r)
         if not viol.is_zero():
@@ -414,10 +417,5 @@ def classify(op, k):
         I = ckt.split(phi, label)
         S = build_S(I, label, w, check_parallel=False)
         residual = residual - S.std_op()
-        nt = residual.greatest_term()
-        if nt is not None and nt.sort_key() >= t.sort_key():
-            raise ClassificationError(
-                f"subtracting the canonical symmetry for {t!r} left "
-                f"greatest term {nt!r}; no strict decrease")
         pieces.append((label, phi))
     return pieces, tail

@@ -13,6 +13,7 @@ import sys
 from .scalars import Q, qstr
 from .tensor import Metric, random_tracefree, comps_to_json
 from .diffop import StdOp
+from .tractor import nabla
 from . import ckt, canon, algebra
 from .ckt import CKTLabel
 
@@ -155,7 +156,6 @@ def cmd_split(args):
     ok = True
     for i in idxs:
         I = ckt.split(basis[i], label)
-        from .tractor import nabla
         parallel = nabla(I).is_zero()
         back = ckt.extract(I, label) == basis[i]
         ok = ok and parallel and back

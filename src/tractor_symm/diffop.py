@@ -1,26 +1,27 @@
-"""Constant-metric differential operators in standard form.
+"""Constant-metric differential operators, each held as its full symbol.
 
-An operator is kept as a sum of terms
+An operator sum_alpha c_alpha(x) d^alpha is held as its full symbol
+sum_alpha c_alpha(x) xi^alpha, one Poly in the 2n variables (x, xi)
+(``tensor``); the operator sends the plane wave e^{xi.x} to its symbol
+times e^{xi.x}.  Operators add, compare and test zero on their symbols,
+compose by the symbol product a#b (``compose_raw``) and act by
+sum_alpha c_alpha d^alpha f.  The standard form
 
-    phi^{a_1..a_p} nabla_{a_1} .. nabla_{a_p} Delta^r
+    sum of phi^{a_1..a_p} nabla_{a_1} .. nabla_{a_p} Delta^r
 
-with phi symmetric trace-free.  The type of a term is <p|r>, its order
-p + 2r and its level p + r; types are compared by (level, order).
-Operators are symbols (``tensor``): the raw form sum_alpha c_alpha(x)
-d^alpha is its full symbol sum_alpha c_alpha(x) xi^alpha, one Poly in
-the 2n variables (x, xi), and the operator sends the plane wave e^{xi.x}
-to its symbol times e^{xi.x}.  A term is kept as sigma(phi) with the
-indices of phi raised, a harmonic symbol of xi-degree p, and its raw form
-is Q^r sigma(phi).  Operators compose by the symbol product a#b
-(``compose_raw``) and act by sum_alpha c_alpha d^alpha f
-(``apply_raw``).  Normalization splits each xi-degree part of a symbol
-into its harmonic parts (``tensor.harmonic_parts``), the Fischer
-decomposition.  A SymTensor is its lower-index symbol, so ``coeff`` and
-``from_coeff`` only raise or lower its indices (``tensor.xi_raise``);
-components are read only for serialization.
+with phi symmetric trace-free is a read-only view of the symbol
+(``StdOp.terms``).  The type of a term is <p|r>, its order p + 2r and its
+level p + r; types are compared by (level, order).  A term is kept as
+sigma(phi) with the indices of phi raised, a harmonic symbol of xi-degree
+p, and its symbol is Q^r sigma(phi).  The view splits each xi-degree part
+of the symbol into its harmonic parts (``tensor.harmonic_parts``), the
+Fischer decomposition.  A SymTensor is its lower-index symbol, so
+``coeff`` and ``from_coeff`` only raise or lower its indices
+(``tensor.xi_raise``); components are read only for serialization.
 """
 
 from operator import lshift
+from types import MappingProxyType
 
 from .scalars import qparse
 from .poly import Poly
@@ -60,17 +61,29 @@ class OpType(tuple):
 
 
 class StdOp:
-    """Differential operator in standard (normal) form."""
+    """Differential operator, held as its full symbol.
+
+    ``sym`` is sum_alpha c_alpha(x) xi^alpha, one Poly in (x, xi).  The
+    standard form is a read-only view of it (``terms``).
+    """
 
     def __init__(self, metric, terms=None):
+        """The operator sum of Q^r P over ``terms``, a dict from types
+        <p|r> to raised symbols P of its terms."""
         self.metric = metric
-        # OpType -> sigma(phi) with raised indices: a Poly in (x, xi),
-        # harmonic and homogeneous of degree p in xi
-        self.terms = {}
-        if terms:
-            for t, P in terms.items():
-                if not P.is_zero():
-                    self.terms[OpType(*t)] = P
+        sym = Poly.zero(2 * metric.n)
+        for t, P in (terms or {}).items():
+            for _ in range(OpType(*t).r):
+                P = xi_quadric(P, metric)
+            sym = sym + P
+        self.sym = sym
+
+    @classmethod
+    def wrap(cls, metric, sym):
+        """The operator whose symbol is ``sym``, not copied."""
+        op = cls.__new__(cls)
+        op.metric, op.sym = metric, sym
+        return op
 
     @classmethod
     def zero(cls, metric):
@@ -86,13 +99,29 @@ class StdOp:
 
     @classmethod
     def from_coeff(cls, coeff, r=0):
-        """Single term phi . nabla^p Delta^r from a trace-free SymTensor."""
+        """The operator phi . nabla^p Delta^r for a SymTensor phi of rank
+        p.  phi need not be trace-free: its trace parts show in ``terms``
+        as terms with more Laplacians."""
         metric = coeff.metric
         return cls(metric, {OpType(coeff.rank, r):
                             xi_raise(coeff.sym, metric)})
 
+    @property
+    def terms(self):
+        """Read-only standard form {<p|r>: sigma(phi) with raised
+        indices}, without zero terms.  Orders do not mix: the part of
+        xi-degree o is Q^q h_q summed over its harmonic parts h_q, and
+        h_q is the term <o-2q|q>."""
+        out = {}
+        for o, part in sorted(by_xi_degree(self.sym, self.metric.n).items()):
+            for q, P in enumerate(harmonic_parts(part, self.metric, o)):
+                # <o-2q|q> has order o: no two parts share a type
+                if not P.is_zero():
+                    out[OpType(o - 2 * q, q)] = P
+        return MappingProxyType(out)
+
     def is_zero(self):
-        return not self.terms
+        return self.sym.is_zero()
 
     def coeff(self, p, r):
         """phi of the term <p|r>, lower indices, as a SymTensor."""
@@ -103,66 +132,57 @@ class StdOp:
         """Largest type present, by (level, order); None for the zero op."""
         return max(self.terms, key=OpType.sort_key, default=None)
 
-    def __add__(self, other):
+    def _check(self, other):
         if self.metric != other.metric:
             raise ValueError(f"operators on {self.metric} and {other.metric}")
-        out = StdOp(self.metric)
-        out.terms = dict(self.terms)
-        for t, P in other.terms.items():
-            s = out.terms[t] + P if t in out.terms else P
-            if s.is_zero():
-                del out.terms[t]
-            else:
-                out.terms[t] = s
-        return out
+
+    def __add__(self, other):
+        self._check(other)
+        return StdOp.wrap(self.metric, self.sym + other.sym)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return StdOp(self.metric, {t: P.scale(c)
-                                   for t, P in self.terms.items()})
+        return StdOp.wrap(self.metric, self.sym.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, StdOp):
             return NotImplemented
-        return self.metric == other.metric and self.terms == other.terms
-
-    # -- action on polynomials ---------------------------------------
+        return self.metric == other.metric and self.sym == other.sym
 
     def apply(self, f):
-        return apply_raw(self.to_raw(), f)
+        """sum_alpha c_alpha d^alpha f on a Poly f in x; each d^alpha f is
+        taken once."""
+        n, sym = f.nvars, self.sym
+        if sym.nvars != 2 * n:
+            raise ValueError(f"symbol in {sym.nvars} variables on a Poly "
+                             f"in {n}")
+        by_alpha = {}
+        for e, c in sym.nums.items():
+            by_alpha.setdefault(e[n:], {})[e[:n]] = c
+        out = Poly.zero(n)
+        for alpha, nums in by_alpha.items():
+            df = f.diff_multi(alpha)
+            if not df.is_zero():
+                out = out + Poly.wrap(n, nums, sym.den) * df
+        return out
 
     __call__ = apply
 
-    # -- raw form and composition -------------------------------------
-
-    def to_raw(self):
-        """The symbol sum_alpha c_alpha(x) xi^alpha, a Poly in (x, xi):
-        sum over the terms of Q^r sigma(phi)."""
-        raw = Poly.zero(2 * self.metric.n)
-        for t, P in self.terms.items():
-            for _ in range(t.r):
-                P = xi_quadric(P, self.metric)
-            raw = raw + P
-        return raw
-
     def compose(self, other):
-        """self after other, renormalized to standard form."""
-        if self.metric != other.metric:
-            raise ValueError(f"operators on {self.metric} and {other.metric}")
-        raw = compose_raw(self.to_raw(), other.to_raw())
-        return normalize_raw(raw, self.metric)
+        """self after other."""
+        self._check(other)
+        return StdOp.wrap(self.metric, compose_raw(self.sym, other.sym))
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self):
-        terms = [{"p": t.p, "r": t.r, "coeff": comps_to_json(
-                      self.coeff(*t).comps)}
-                 for t in sorted(self.terms, key=OpType.sort_key,
-                                 reverse=True)]
-        return {"n": self.metric.n, "signature": list(self.metric.key()),
-                "terms": terms}
+        terms, met = self.terms, self.metric
+        out = [{"p": t.p, "r": t.r, "coeff": comps_to_json(SymTensor.wrap(
+                    met, t.p, xi_raise(terms[t], met)).comps)}
+               for t in sorted(terms, key=OpType.sort_key, reverse=True)]
+        return {"n": met.n, "signature": list(met.key()), "terms": out}
 
     @classmethod
     def from_dict(cls, data):
@@ -177,8 +197,9 @@ class StdOp:
         return op
 
     def __repr__(self):
-        bits = [f"{t!r}:{self.terms[t]!r}"
-                for t in sorted(self.terms, key=OpType.sort_key, reverse=True)]
+        terms = self.terms
+        bits = [f"{t!r}:{terms[t]!r}"
+                for t in sorted(terms, key=OpType.sort_key, reverse=True)]
         return "StdOp(" + (" + ".join(bits) or "0") + ")"
 
 
@@ -258,43 +279,9 @@ def _diff(nums, s, mask, m):
     return out
 
 
-def apply_raw(raw, f):
-    """The action sum_alpha c_alpha d^alpha f of a symbol on a Poly; each
-    d^alpha f is taken once."""
-    n = f.nvars
-    if raw.nvars != 2 * n:
-        raise ValueError(f"symbol in {raw.nvars} variables on a Poly in {n}")
-    by_alpha = {}
-    for e, c in raw.nums.items():
-        by_alpha.setdefault(e[n:], {})[e[:n]] = c
-    out = Poly.zero(n)
-    for alpha, nums in by_alpha.items():
-        df = f.diff_multi(alpha)
-        if not df.is_zero():
-            out = out + Poly.wrap(n, nums, raw.den) * df
-    return out
-
-
-def by_xi_degree(raw, n):
+def by_xi_degree(sym, n):
     """A symbol's parts, as Polys keyed by their degree in xi."""
     out = {}
-    for e, c in raw.nums.items():
+    for e, c in sym.nums.items():
         out.setdefault(sum(e[n:]), {})[e] = c
-    return {o: Poly.wrap(raw.nvars, nums, raw.den) for o, nums in out.items()}
-
-
-def normalize_raw(raw, metric):
-    """Convert a symbol to standard form.
-
-    ``raw`` is the Poly sum_alpha c_alpha(x) xi^alpha in (x, xi).  Orders
-    do not mix: the part of xi-degree o is Q^q h_q summed over its
-    harmonic parts h_q, and h_q is the term <o-2q|q>.
-    """
-    op = StdOp(metric)
-    for o, part in sorted(by_xi_degree(raw, metric.n).items()):
-        parts = harmonic_parts(part, metric, o)
-        for q, P in enumerate(parts):
-            # <o-2q|q> has order o: no two parts share a type
-            if not P.is_zero():
-                op.terms[OpType(o - 2 * q, q)] = P
-    return op
+    return {o: Poly.wrap(sym.nvars, nums, sym.den) for o, nums in out.items()}

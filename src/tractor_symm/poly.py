@@ -97,6 +97,7 @@ class Poly:
         fa, fb = den // self.den, den // other.den
         out = ({e: c * fa for e, c in self.nums.items()} if fa > 1
                else dict(self.nums))
+        cancelled = False
         for e, c in other.nums.items():
             c *= fb
             s = out.get(e)
@@ -108,6 +109,9 @@ class Poly:
                 out[e] = s
             else:
                 del out[e]
+                cancelled = True
+        if cancelled:
+            out = dict(out)  # a dict keeps the room of deleted keys
         return Poly.wrap(self.nvars, out, den)
 
     __radd__ = __add__

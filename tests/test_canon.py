@@ -182,6 +182,16 @@ def test_classify_rejects_nonsymmetry():
         canon.classify(bad, 1)
 
 
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_classify_metric_coefficient(sig):
+    # g^ab nabla_a nabla_b with g not trace-free is Delta = 1 . Delta: a
+    # trivial symmetry with the identity as its tail
+    met = Metric(*sig)
+    g = SymTensor(met, 2, {(a, a): met.eps[a] for a in range(met.n)})
+    assert canon.classify(StdOp.from_coeff(g, 0), 1) == (
+        [], StdOp.identity(met))
+
+
 def test_classify_with_trivial_tail(named_ckvs):
     e1, _, dil = named_ckvs
     w = Q(2 * 1 - N, 2)

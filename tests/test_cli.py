@@ -57,8 +57,14 @@ def test_ckt_basis_golden(capsys, argv, digest):
      "2044f7f51815bca414eac92cda595073d379ecbfb5b7d0733c736ebd59929f1b"),
     (["compose", "--n", "3", "--k", "2", "--p", "1", "--r", "0"],
      "7cc21e832e73e46975d5920e08a17d1d84efd4b2c9e547085b1f8eb365aee827"),
+    (["symmetry", "build", "--signature", "2,1", "--k", "3", "--p", "0",
+      "--r", "1", "--index", "5"],
+     "c14746f31ec5fc11aefaad31ab343af266919e32c23a0429c2b58d09faeff4f5"),
+    (["compose", "--signature", "2,1", "--k", "3", "--p", "0", "--r", "1",
+      "--index", "4"],
+     "dd574aa72b90ebc06ff3b2f435d226a79cbd338b2b14b8f37887689af88b8654"),
 ], ids=["dec2can-all", "decompose-sig21", "classify-sig21", "build-2,0",
-        "compose-1,0"])
+        "compose-1,0", "build-0,1-sig21", "compose-0,1-sig21"])
 def test_json_golden(capsys, argv, digest):
     # coefficients reach the JSON through Poly.terms and qstr
     assert run(argv + ["--format", "json"]) == 0

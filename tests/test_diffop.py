@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
-from tractor_symm.tensor import Metric, SymTensor, random_tracefree
-from tractor_symm.diffop import StdOp, OpType, normalize_raw, compose_raw
+from tractor_symm.tensor import (Metric, SymTensor, random_tracefree,
+                                 xi_laplacian)
+from tractor_symm.diffop import StdOp, OpType, compose_raw
 
 
 MET = Metric.euclidean(3)
@@ -42,7 +43,7 @@ def test_apply_matches_raw():
     rng = random.Random(2)
     phi = random_tracefree(MET, 2, 1, rng)
     op = StdOp.from_coeff(phi, 1)
-    raw = op.to_raw()
+    raw = op.sym
     f = Poly(3, {e: Q(rng.randint(-3, 3))
                  for e in monomials_up_to_degree(3, 4)})
     direct = op(f)
@@ -76,7 +77,7 @@ def test_normalize_roundtrip():
     rng = random.Random(4)
     phi = random_tracefree(MET, 2, 2, rng)
     op = StdOp.from_coeff(phi, 1) + StdOp.laplacian_power(MET, 2)
-    assert normalize_raw(op.to_raw(), MET) == op
+    assert StdOp(MET, op.terms) == op
 
 
 def test_compose_is_composition():
@@ -90,16 +91,17 @@ def test_compose_is_composition():
 
 
 def test_residual_from_one_symbol_difference():
-    # normalize_raw is linear: normalizing sigma(L a) - sigma(b L) once
-    # gives the difference of the two normal forms
+    # the standard form is linear: the view of sigma(L a) - sigma(b L)
+    # is the termwise difference of the two views
     rng = random.Random(12)
     lap = StdOp.laplacian_power(MET, 2)
     a, b = _random_op(MET, rng), _random_op(MET, rng)
-    diff = (compose_raw(lap.to_raw(), a.to_raw())
-            - compose_raw(b.to_raw(), lap.to_raw()))
-    res = normalize_raw(diff, MET)
+    diff = (compose_raw(lap.sym, a.sym) - compose_raw(b.sym, lap.sym))
+    res = StdOp.wrap(MET, diff)
     assert not res.is_zero()
     assert res == lap.compose(a) - b.compose(lap)
+    assert res.terms == _termwise(lap.compose(a).terms,
+                                  b.compose(lap).terms, -1)
 
 
 def test_other_metric_rejected():
@@ -113,6 +115,56 @@ def test_other_metric_rejected():
         a + b
     with pytest.raises(ValueError):
         a.compose(b)
+
+
+def _metric_coeff(met):
+    """The metric g_ab as a rank-2 coefficient: g^ab nabla_a nabla_b is
+    Delta, though g is not trace-free."""
+    return SymTensor(met, 2, {(a, a): met.eps[a] for a in range(met.n)})
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
+def test_metric_coefficient_is_laplacian(sig):
+    # operators compare by their symbols, not by how they were written
+    met = Metric(*sig)
+    a, lap = StdOp.from_coeff(_metric_coeff(met), 0), StdOp.laplacian_power(
+        met, 1)
+    assert a == lap
+    assert (a - lap).is_zero()
+    assert a.greatest_term() == OpType(0, 1)
+
+
+def _termwise(x, y, c=1):
+    """x + c y on two standard-form views, termwise, without zero terms."""
+    out = dict(x)
+    for t, P in y.items():
+        out[t] = out[t] + P.scale(c) if t in out else P.scale(c)
+    return {t: P for t, P in out.items() if not P.is_zero()}
+
+
+def test_terms_read_only():
+    op = StdOp.laplacian_power(MET, 1)
+    t = OpType(0, 1)
+    with pytest.raises(TypeError):
+        op.terms[t] = Poly.zero(6)
+    with pytest.raises(TypeError):
+        del op.terms[t]
+    assert op.terms[t] == Poly.const(6, 1)
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (2, 1), (1, 2)])
+def test_terms_harmonic_and_additive(sig):
+    met = Metric(*sig)
+    n = met.n
+    rng = random.Random(7 * sig[0] + sig[1])
+    for _ in range(3):
+        a = _random_op(met, rng) + StdOp.from_coeff(_metric_coeff(met), 1)
+        b = _random_op(met, rng)
+        # every term is harmonic and of xi-degree p
+        for t, P in a.terms.items():
+            assert all(sum(e[n:]) == t.p for e in P.nums)
+            assert xi_laplacian(P, met).is_zero()
+        assert (a + b).terms == _termwise(a.terms, b.terms)
 
 
 def test_serialization_roundtrip():
@@ -150,11 +202,11 @@ def test_edges_indefinite(sig):
         assert single.coeff(p, r) == phi
         assert not single.coeff(p, r + 1).comps
         op = op + single
-    assert normalize_raw(op.to_raw(), met) == op
+    assert StdOp(met, op.terms) == op
     assert StdOp.from_dict(op.to_dict()) == op
-    # the raised symbol, built index by index, normalizes back to phi
+    # the raised symbol, built index by index, reads back as phi
     phi = random_tracefree(met, 3, 1, rng)
-    lead = normalize_raw(_index_symbol(phi, met), met)
+    lead = StdOp.wrap(met, _index_symbol(phi, met))
     assert lead == StdOp.from_coeff(phi)
     assert lead.coeff(3, 0) == phi
 
@@ -227,7 +279,7 @@ def _rational_symbol(met, rng, degree):
     terms = {e: Q(rng.randint(-9, 9), rng.choice((2, 3, 7)))
              for e in monomials_up_to_degree(2 * met.n, degree)
              if rng.random() < 0.3}
-    return Poly(2 * met.n, terms) + _random_op(met, rng).to_raw()
+    return Poly(2 * met.n, terms) + _random_op(met, rng).sym
 
 
 @pytest.mark.parametrize("sig", [(3, 0), (2, 1)])
@@ -241,7 +293,7 @@ def test_compose_raw_matches_oracle(sig):
         assert got.terms == _compose_oracle(a, b)
         assert all(type(c) is Q for c in got.terms.values())
         # sigma(Delta^2) # b: the case the constraint extraction composes
-        lap = StdOp.laplacian_power(met, 2).to_raw()
+        lap = StdOp.laplacian_power(met, 2).sym
         assert compose_raw(lap, b).terms == _compose_oracle(lap, b)
 
 
