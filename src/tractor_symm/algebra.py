@@ -30,7 +30,7 @@ from .tractor import (TractorField, SlotKind, pair_space, fund_D2, tractor_D,
                       x_mult)
 from . import ckt, linalg
 from .ckt import CKTLabel, CKTError, weyl_dim
-from .canon import CanonicalSymmetry
+from .canon import build_S
 from .diffop import StdOp
 
 
@@ -280,18 +280,16 @@ def killing_oracle(phi, phib):
 
 
 def _composition_defect(products, w, c):
-    """Symbol of S_I S_J - S_{I x J} - S_{I . J} - 1/2 S_{[I,J]} - c <I,J>
-    on weight-w densities: each chain runs once on the plane wave, and
-    S_I S_J runs S_I on the plane-wave output of S_J."""
+    """S_I S_J - S_{I x J} - S_{I . J} - 1/2 S_{[I,J]} - c <I,J> on
+    weight-w densities, as an operator."""
     I, J, box, bu, br, kl = products
-    pw = Poly.const(2 * I.metric.n, 1)  # e^{xi.x}
 
     def S(T, label):
-        return CanonicalSymmetry(T, label, w)
+        return build_S(T, label, w, check_parallel=False)
 
-    return (S(I, (1, 0))(S(J, (1, 0))(pw))
-            - S(box, (2, 0))(pw) - S(bu, (0, 1))(pw)
-            - S(br, (1, 0))(pw).scale(Q(1, 2)) - pw.scale(c * kl))
+    return (S(I, (1, 0)).compose(S(J, (1, 0)))
+            - S(box, (2, 0)) - S(bu, (0, 1)) - S(br, (1, 0)).scale(Q(1, 2))
+            - StdOp.identity(I.metric).scale(c * kl))
 
 
 def verify_dec2can(phi, phib, w, max_degree=None):
@@ -405,8 +403,8 @@ def lemma_extra_check(k, metric, basis=None):
         basis = ckt.solve(metric, CKTLabel(0, k))
     for sigma in basis:
         I = ckt.split(sigma, CKTLabel(0, k))
-        S = CanonicalSymmetry(I, (0, k), w)
-        if S.std_op() != StdOp.from_coeff(sigma, k):
+        S = build_S(I, (0, k), w, check_parallel=False)
+        if S != StdOp.from_coeff(sigma, k):
             return False
     return True
 

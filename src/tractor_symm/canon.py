@@ -2,17 +2,20 @@
 
 A canonical symmetry is built from a parallel splitting tractor I by
 applying r symmetrized-square double-D operators followed by p double-D
-operators to a weighted density and contracting every slot with I.  The
-module verifies the intertwining identity Delta^k S = S' Delta^k
-exactly, checks the structural properties of the resulting standard
-forms, and provides the classification machinery: the combinatorial
-C-matrices, their regularity (with the full column/row reduction chain),
-the constraint matrices extracted from symbolic composition, and the
-greedy classification of an arbitrary symmetry into canonical pieces
-plus a trivial tail.
+operators to a weighted density and contracting every slot with I.  It
+is a StdOp (``build_S``): the chain run once on the plane wave e^{xi.x}
+does not depend on I, so it is cached per (signature, label, weight),
+and its contraction with I is the full symbol.  The module verifies the
+intertwining identity Delta^k S = S' Delta^k exactly, checks the
+structural properties of the resulting standard forms, and provides the
+classification machinery: the combinatorial C-matrices, their regularity
+(with the full column/row reduction chain), the constraint matrices
+extracted from symbolic composition, and the greedy classification of an
+arbitrary symmetry into canonical pieces plus a trivial tail.
 """
 
 import random
+from functools import lru_cache
 from math import factorial
 
 from .scalars import Q, ZERO, ONE, binom
@@ -28,47 +31,33 @@ from . import ckt
 from .ckt import CKTLabel, CKTError
 
 
-class CanonicalSymmetry:
-    """Operator f -> I . (double-D)^p (double-D^2)^r f on densities."""
-
-    def __init__(self, I, label, weight, use_fund=False):
-        self.I = I
-        n, pad = I.metric.n, (0,) * I.metric.n  # I in (x, xi), constant in xi
-        self._I_xi = TractorField(I.metric, I.weight, I.slots, {
-            idx: Poly.wrap(2 * n, {e + pad: c for e, c in p.nums.items()},
-                           p.den)
-            for idx, p in I.comps.items()})
-        self.label = CKTLabel(*label)
-        self.metric = I.metric
-        self.weight = Q(weight)
-        self.use_fund = use_fund
-        self._std = None
-
-    def apply(self, f):
-        """S f, or for f in (x, xi) the component of S(f e^{xi.x})."""
-        p, r = self.label
-        I = self.I if f.nvars == self.metric.n else self._I_xi
-        t = TractorField.density(self.metric, self.weight, f)
-        sq = fund_D2 if self.use_fund else double_D2
-        first = fund_D if self.use_fund else double_D
-        for _ in range(r):
-            t = sq(t)
-        for _ in range(p):
-            t = first(t)
-        return contract(I, t).get(())
-
-    __call__ = apply
-
-    def std_op(self):
-        """S as an operator: its symbol is one run on the plane wave."""
-        if self._std is None:
-            wave = Poly.const(2 * self.metric.n, 1)  # e^{xi.x}
-            self._std = StdOp.wrap(self.metric, self.apply(wave))
-        return self._std
+def _lift(I):
+    """I in (x, xi), constant in xi."""
+    n, pad = I.metric.n, (0,) * I.metric.n
+    return TractorField(I.metric, I.weight, I.slots, {
+        idx: Poly.wrap(2 * n, {e + pad: c for e, c in p.nums.items()}, p.den)
+        for idx, p in I.comps.items()})
 
 
-def build_S(I, label, weight, use_fund=False, check_parallel=True):
-    """Canonical symmetry from a parallel splitting tractor."""
+@lru_cache(maxsize=None)
+def _chain(sig, label, weight):
+    """(double-D)^p (double-D^2)^r run on the plane wave e^{xi.x} of
+    weight ``weight``: the phi-independent part of every canonical
+    symmetry of that label.  The field is shared by every caller;
+    nothing mutates it (``contract`` only reads it)."""
+    metric = Metric(*sig)
+    t = TractorField.density(metric, weight, Poly.const(2 * metric.n, 1))
+    for _ in range(label.r):
+        t = double_D2(t)
+    for _ in range(label.p):
+        t = double_D(t)
+    return t
+
+
+def build_S(I, label, weight, check_parallel=True):
+    """The canonical symmetry f -> I . (double-D)^p (double-D^2)^r f on
+    densities of weight ``weight``, from a parallel splitting tractor I,
+    as a StdOp: its symbol is I contracted with the plane-wave chain."""
     label = CKTLabel(*label)
     expected = ckt._shape_slots(label)
     if I.slots != expected:
@@ -76,7 +65,8 @@ def build_S(I, label, weight, use_fund=False, check_parallel=True):
                          f"label {label} needs {expected}")
     if check_parallel and not nabla(I).is_zero():
         raise ValueError("splitting tractor must be parallel")
-    return CanonicalSymmetry(I, label, weight, use_fund=use_fund)
+    chain = _chain(I.metric.key(), label, Q(weight))
+    return StdOp.wrap(I.metric, contract(_lift(I), chain).get(()))
 
 
 class SymmetryReport:
@@ -103,10 +93,8 @@ def verify_symmetry(phi, label, k):
     w_in = Q(2 * k - n, 2)
     w_out = Q(-2 * k - n, 2)
     I = ckt.split(phi, label)
-    S = build_S(I, label, w_in, check_parallel=False)
-    Sp = build_S(I, label, w_out, check_parallel=False)
-    S_std = S.std_op()
-    Sp_std = Sp.std_op()
+    S_std = build_S(I, label, w_in, check_parallel=False)
+    Sp_std = build_S(I, label, w_out, check_parallel=False)
     # sigma(Delta^k S) - sigma(S' Delta^k): zero exactly when they agree
     lapk = StdOp.laplacian_power(metric, k)
     residual = lapk.compose(S_std) - Sp_std.compose(lapk)
@@ -161,13 +149,18 @@ def verify_commute_doubleD(metric, k, p=1):
 
 def verify_fund_equals_double(phi, label, weight):
     """The double-D and fundamental-derivative forms of S agree, on the
-    full symbol (one plane-wave run)."""
+    full symbol: I . (fund_D)^p (fund_D^2)^r on the plane wave is the
+    symbol of ``build_S``."""
     label = CKTLabel(*label)
     I = ckt.split(phi, label)
-    S1 = build_S(I, label, weight, use_fund=False, check_parallel=False)
-    S2 = build_S(I, label, weight, use_fund=True, check_parallel=False)
-    wave = Poly.const(2 * phi.metric.n, 1)  # e^{xi.x}
-    return S1(wave) == S2(wave)
+    metric = phi.metric
+    t = TractorField.density(metric, Q(weight), Poly.const(2 * metric.n, 1))
+    for _ in range(label.r):
+        t = fund_D2(t)
+    for _ in range(label.p):
+        t = fund_D(t)
+    S = build_S(I, label, weight, check_parallel=False)
+    return contract(_lift(I), t).get(()) == S.sym
 
 
 def gjms_factorization_check(metric, k):
@@ -415,7 +408,6 @@ def classify(op, k):
                 f"greatest term {t!r} violates its defining equation; "
                 "not a symmetry")
         I = ckt.split(phi, label)
-        S = build_S(I, label, w, check_parallel=False)
-        residual = residual - S.std_op()
+        residual = residual - build_S(I, label, w, check_parallel=False)
         pieces.append((label, phi))
     return pieces, tail

@@ -175,7 +175,7 @@ def cmd_symmetry(args):
         w = Q(2 * k - metric.n, 2)
         S = canon.build_S(I, (args.p, args.r), w)
         _emit(args, "symmetry build", _config(args, metric),
-              {"weight": qstr(w), "operator": S.std_op().to_dict()})
+              {"weight": qstr(w), "operator": S.to_dict()})
         return
     if args.action == "sweep":
         labels = [(1, 0)] + ([(0, 1)] if k >= 2 else [])
@@ -269,7 +269,7 @@ def cmd_classify(args):
         basis = ckt.solve(metric, CKTLabel(*lab))
         phi = basis[rng.randrange(len(basis))]
         I = ckt.split(phi, CKTLabel(*lab))
-        op = op + canon.build_S(I, lab, w, check_parallel=False).std_op()
+        op = op + canon.build_S(I, lab, w, check_parallel=False)
         gens.append((lab, phi))
     coeff = random_tracefree(metric, 1, 1, rng)
     tail = StdOp.from_coeff(coeff, 0)

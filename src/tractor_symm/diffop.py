@@ -16,8 +16,9 @@ sigma(phi) with the indices of phi raised, a harmonic symbol of xi-degree
 p, and its symbol is Q^r sigma(phi).  The view splits each xi-degree part
 of the symbol into its harmonic parts (``tensor.harmonic_parts``), the
 Fischer decomposition.  A SymTensor is its lower-index symbol, so
-``coeff`` and ``from_coeff`` only raise or lower its indices
-(``tensor.xi_raise``); components are read only for serialization.
+``from_coeff`` and reading a term back as a SymTensor only raise or
+lower its indices (``tensor.xi_raise``); components are read only for
+serialization.
 """
 
 from operator import lshift
@@ -122,15 +123,6 @@ class StdOp:
 
     def is_zero(self):
         return self.sym.is_zero()
-
-    def coeff(self, p, r):
-        """phi of the term <p|r>, lower indices, as a SymTensor."""
-        P = self.terms.get(OpType(p, r), Poly.zero(2 * self.metric.n))
-        return SymTensor.wrap(self.metric, p, xi_raise(P, self.metric))
-
-    def greatest_term(self):
-        """Largest type present, by (level, order); None for the zero op."""
-        return max(self.terms, key=OpType.sort_key, default=None)
 
     def _check(self, other):
         if self.metric != other.metric:

@@ -139,8 +139,7 @@ def test_criterion_09_classification_roundtrip():
             basis = solved_basis(3, *lab)
             phi = basis[rng.randrange(len(basis))]
             I = ckt.split(phi, ckt.CKTLabel(*lab))
-            op = op + canon.build_S(I, lab, w,
-                                    check_parallel=False).std_op()
+            op = op + canon.build_S(I, lab, w, check_parallel=False)
             gens.append((lab, phi))
         tail = StdOp.from_coeff(random_tracefree(metric, 1, 1, rng), 0)
         op = op + tail.compose(StdOp.laplacian_power(metric, k))

@@ -7,6 +7,7 @@ import pytest
 from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly
 from tractor_symm.tensor import Metric
+from tractor_symm.diffop import StdOp
 from tractor_symm.tractor import TractorField, SlotKind, pair_space
 from tractor_symm import ckt, algebra
 
@@ -120,6 +121,21 @@ def test_dec2can(named_ckvs):
     for w in (Q(-1, 2), Q(2), Q(0)):
         rep = algebra.verify_dec2can(e1, dil, w)
         assert rep["all"], rep
+
+
+def test_composition_defect_sees_the_constant(named_ckvs):
+    # <dil, dil> != 0, so the constant term is seen: shifted by one, the
+    # defect is that multiple of the identity
+    _, _, dil = named_ckvs
+    products = algebra.dec2can_products(dil, dil)
+    kl = products[-1]
+    assert kl != 0
+    for w in (Q(-1, 2), Q(2)):
+        c = w * (N + w) / (N * (N + 1) * (N + 2))
+        assert algebra._composition_defect(products, w, c).is_zero()
+        shifted = algebra._composition_defect(products, w, c + 1)
+        assert not shifted.is_zero()
+        assert shifted == StdOp.identity(MET).scale(-kl)
 
 
 def test_ideal_coefficient_values():

@@ -8,6 +8,7 @@ from tractor_symm.scalars import Q
 from tractor_symm.poly import Poly, monomials_up_to_degree
 from tractor_symm.tensor import Metric, SymTensor
 from tractor_symm.diffop import StdOp
+from tractor_symm.tractor import TractorField, double_D, double_D2, contract
 from tractor_symm import ckt, canon
 
 from conftest import solved_basis
@@ -44,13 +45,51 @@ def test_std_op_matches_action(sig, label):
     # monomial of degree <= order + 2: complete for operators of order
     # <= order + 2
     metric = Metric(*sig)
-    basis = ckt.solve(metric, ckt.CKTLabel(*label))
-    phi = basis[0] + basis[len(basis) // 2].scale(2) - basis[-1]
-    S = canon.build_S(ckt.split(phi, ckt.CKTLabel(*label)), label, Q(-1, 2))
-    op = S.std_op()
+    phi = _combination(metric, label)
+    I = ckt.split(phi, ckt.CKTLabel(*label))
+    op = canon.build_S(I, label, Q(-1, 2))
     for e in monomials_up_to_degree(metric.n, label[0] + 2 * label[1] + 2):
         f = Poly.monomial(metric.n, e)
-        assert op(f) == S(f)
+        assert op(f) == _chain_action(I, label, Q(-1, 2), f)
+
+
+def _chain_action(I, label, w, f):
+    """I . (double-D)^p (double-D^2)^r f, run on the density f itself."""
+    t = TractorField.density(I.metric, w, f)
+    for _ in range(label[1]):
+        t = double_D2(t)
+    for _ in range(label[0]):
+        t = double_D(t)
+    return contract(I, t).get(())
+
+
+def _combination(metric, label):
+    basis = ckt.solve(metric, ckt.CKTLabel(*label))
+    return basis[0] + basis[len(basis) // 2].scale(2) - basis[-1]
+
+
+def test_chain_cache_shared_across_phi():
+    # the cached plane-wave chain does not depend on phi: S built for
+    # phi2 after phi1 equals S built for phi2 on an emptied cache
+    label, w = ckt.CKTLabel(1, 1), Q(-1, 2)
+    basis = ckt.solve(Metric(2, 1), label)
+    I1, I2 = (ckt.split(phi, label) for phi in (basis[0], basis[-1]))
+    S1 = canon.build_S(I1, label, w)
+    S2 = canon.build_S(I2, label, w)
+    canon._chain.cache_clear()
+    assert canon.build_S(I2, label, w) == S2
+    assert S1 != S2
+
+
+@pytest.mark.parametrize("label", [(1, 0), (0, 1)])
+def test_verify_symmetry_weights_not_shared(label):
+    # S and S' differ only in their weight; each is its own cache entry
+    phi = _combination(Metric(2, 1), label)
+    rep = canon.verify_symmetry(phi, label, 2)
+    I = ckt.split(phi, ckt.CKTLabel(*label))
+    assert rep.S_std == canon.build_S(I, label, rep.w_in)
+    assert rep.Sp_std == canon.build_S(I, label, rep.w_out)
+    assert rep.S_std != rep.Sp_std
 
 
 def test_verify_symmetry_k1(named_ckvs):
@@ -74,6 +113,14 @@ def test_commute_double_D():
 def test_fund_equals_double(named_ckvs):
     e1, _, _ = named_ckvs
     assert canon.verify_fund_equals_double(e1, (1, 0), Q(1))
+
+
+@pytest.mark.parametrize("sig", [(2, 1), (1, 2), (2, 2)])
+def test_fund_equals_double_indefinite(sig):
+    metric = Metric(*sig)
+    for label in ((1, 0), (0, 1), (2, 0), (1, 1)):
+        phi = _combination(metric, label)
+        assert canon.verify_fund_equals_double(phi, label, Q(-1, 2))
 
 
 def test_gjms_k1():
@@ -168,7 +215,7 @@ def test_classify_single(named_ckvs):
     e1, _, _ = named_ckvs
     I = ckt.split(e1, ckt.CKTLabel(1, 0))
     w = Q(2 * 1 - N, 2)
-    op = canon.build_S(I, (1, 0), w).std_op()
+    op = canon.build_S(I, (1, 0), w)
     pieces, tail = canon.classify(op, 1)
     assert tail.is_zero()
     assert len(pieces) == 1
@@ -196,7 +243,7 @@ def test_classify_with_trivial_tail(named_ckvs):
     e1, _, dil = named_ckvs
     w = Q(2 * 1 - N, 2)
     I = ckt.split(dil, ckt.CKTLabel(1, 0))
-    op = canon.build_S(I, (1, 0), w).std_op()
+    op = canon.build_S(I, (1, 0), w)
     tail = StdOp.from_coeff(SymTensor(MET, 0, {(): Poly.var(N, 1)}), 0)
     op = op + tail.compose(StdOp.laplacian_power(MET, 1))
     pieces, got_tail = canon.classify(op, 1)

@@ -63,8 +63,16 @@ def test_ckt_basis_golden(capsys, argv, digest):
     (["compose", "--signature", "2,1", "--k", "3", "--p", "0", "--r", "1",
       "--index", "4"],
      "dd574aa72b90ebc06ff3b2f435d226a79cbd338b2b14b8f37887689af88b8654"),
+    (["symmetry", "build", "--signature", "2,2", "--k", "2", "--p", "1",
+      "--r", "1", "--index", "7"],
+     "de756d72d5badd076b3b011d4a04294aeb48701d9327fb6e7c3231c89eb3920b"),
+    (["algebra", "ideal", "--signature", "2,1", "--k", "2", "--seed", "4"],
+     "940b65935aa1c44659d19a079dd0f97b2fecdd065fe67a30c28747fddb18bf64"),
+    (["algebra", "extra", "--signature", "2,2", "--k", "2"],
+     "69ca0846ff4eab2d13e5af8a0b7435fbf3d966c5e8a8b73a0e3f098b06ffbbd0"),
 ], ids=["dec2can-all", "decompose-sig21", "classify-sig21", "build-2,0",
-        "compose-1,0", "build-0,1-sig21", "compose-0,1-sig21"])
+        "compose-1,0", "build-0,1-sig21", "compose-0,1-sig21",
+        "build-1,1-sig22", "ideal-sig21", "extra-sig22"])
 def test_json_golden(capsys, argv, digest):
     # coefficients reach the JSON through Poly.terms and qstr
     assert run(argv + ["--format", "json"]) == 0
